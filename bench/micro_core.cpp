@@ -159,10 +159,7 @@ void BM_IncrementalDelaunayMove(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * 64);
-  const auto s = dyn.stats();
-  state.counters["early_out_rate"] =
-      s.moves > 0 ? static_cast<double>(s.move_early_outs) / static_cast<double>(s.moves) : 0.0;
-  state.counters["full_rebuilds"] = static_cast<double>(s.full_rebuilds);
+  state.counters["full_rebuilds"] = static_cast<double>(dyn.stats().full_rebuilds);
   state.SetLabel("n=" + std::to_string(n) + " dim=" + std::to_string(dim));
 }
 BENCHMARK(BM_IncrementalDelaunayMove)->Args({100, 2})->Args({100, 3})->Args({200, 3});
@@ -198,52 +195,27 @@ BENCHMARK(BM_DeltaDvRound)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One full maintenance round (adjustment period) of a converged 120-node
 // VPoD/MDT network: position sampling, neighbor-set sync, and every
-// MdtOverlay::recompute the round triggers. The recompute memo cache is
-// exercised in situ; the hit rate over the measured rounds is reported as a
-// counter. Expect it in the low tens of percent, NOT the ~98% a static
-// network reaches: VPoD keeps nudging positions every adjustment tick (the
-// Figure-6 step never becomes exactly zero), each nudge bumps pos_version,
-// and the cache must treat any changed input as a miss -- that invalidation
-// is load-bearing for correctness. The frozen-position steady state is
-// pinned separately by protocol_internals_test
-// (RecomputeSteadyStateOnRandomTopology).
-// Arg 0: incremental local-DT maintenance (the default). Arg 1: the
-// kFullRebuild oracle path -- re-triangulate from scratch on every memo miss
-// -- measured from the same build so the incremental speedup is always an
-// apples-to-apples pair in one suite run.
+// MdtOverlay::recompute the round triggers. The counters give the
+// per-iteration local-DT op mix the round's recomputes applied.
 void BM_MdtMaintenanceRound(benchmark::State& state) {
-  const std::size_t mode = state.range(0) != 0 ? 1 : 0;
-  static eval::VpodRunner* runners[2] = {nullptr, nullptr};
-  static int ks[2] = {10, 10};
-  if (runners[mode] == nullptr) {
+  static eval::VpodRunner* runner = [] {
     static radio::Topology topo = bench::paper_topology(120, 4242);
-    auto vc = bench::paper_vpod(3);
-    if (mode == 1) vc.mdt.dt_maintenance = mdt::MdtConfig::DtMaintenance::kFullRebuild;
-    runners[mode] = new eval::VpodRunner(topo, /*use_etx=*/true, vc);
-    runners[mode]->run_to_period(10);  // converge before measuring
-  }
-  eval::VpodRunner* runner = runners[mode];
-  int& k = ks[mode];
-  const auto before = runner->protocol().overlay().recompute_stats();
-  const auto dtb = runner->protocol().overlay().dt_stats();
+    auto* r = new eval::VpodRunner(topo, /*use_etx=*/true, bench::paper_vpod(3));
+    r->run_to_period(10);  // converge before measuring
+    return r;
+  }();
+  static int k = 10;
+  const auto before = runner->protocol().overlay().dt_stats();
   for (auto _ : state) runner->run_to_period(++k);
-  const auto after = runner->protocol().overlay().recompute_stats();
-  const auto dta = runner->protocol().overlay().dt_stats();
-  const double calls = static_cast<double>(after.calls - before.calls);
+  const auto after = runner->protocol().overlay().dt_stats();
   const double iters = static_cast<double>(state.iterations());
-  if (calls > 0)
-    state.counters["recompute_hit_rate"] =
-        1.0 - static_cast<double>(after.rebuilds - before.rebuilds) / calls;
-  // Per-iteration incremental-maintenance op mix: what a memo miss costs.
-  state.counters["dt_inserts"] = static_cast<double>(dta.inserts - dtb.inserts) / iters;
-  state.counters["dt_removes"] = static_cast<double>(dta.removes - dtb.removes) / iters;
-  state.counters["dt_moves"] = static_cast<double>(dta.moves - dtb.moves) / iters;
-  state.counters["dt_early_outs"] =
-      static_cast<double>(dta.move_early_outs - dtb.move_early_outs) / iters;
+  state.counters["dt_inserts"] = static_cast<double>(after.inserts - before.inserts) / iters;
+  state.counters["dt_removes"] = static_cast<double>(after.removes - before.removes) / iters;
+  state.counters["dt_moves"] = static_cast<double>(after.moves - before.moves) / iters;
   state.counters["dt_rebuilds"] =
-      static_cast<double>(dta.full_rebuilds - dtb.full_rebuilds) / iters;
+      static_cast<double>(after.full_rebuilds - before.full_rebuilds) / iters;
 }
-BENCHMARK(BM_MdtMaintenanceRound)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MdtMaintenanceRound)->Unit(benchmark::kMillisecond);
 
 void BM_InSpherePredicate(benchmark::State& state) {
   const int dim = static_cast<int>(state.range(0));

@@ -6,14 +6,16 @@
 #   scripts/bench.sh                 # full suite, BENCH_core.json
 #   scripts/bench.sh --quick         # fast smoke pass, no JSON rewrite
 #   scripts/bench.sh --filter REGEX  # subset, no JSON rewrite
-#   scripts/bench.sh --compare       # run the suite and diff cpu_time against
+#   scripts/bench.sh --compare       # run the suite and diff real_time against
 #                                    # the committed BENCH_core.json; exits
 #                                    # nonzero if any benchmark regressed by
 #                                    # more than GDVR_BENCH_TOLERANCE (default
 #                                    # 0.25 = 25%). No JSON rewrite.
 #
 # Snapshot and compare runs both use --benchmark_repetitions=3 and score each
-# benchmark by its best (minimum) cpu_time across repetitions. On a shared or
+# benchmark by its best (minimum) real_time across repetitions -- wall time,
+# because cpu_time counts only the main thread and so under-reports every
+# benchmark that fans work out to worker threads. On a shared or
 # single-core host, scheduler noise only ever adds time, so min-of-3 is a far
 # more stable estimator than a single sample: one-shot runs here drift up to
 # ~1.3x run-to-run, which made a 25% gate flag a rotating set of untouched
@@ -84,7 +86,7 @@ import json, sys
 base_path, cand_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
 def load(p):
-    # Score each benchmark by its best (min) cpu_time across repetitions:
+    # Score each benchmark by its best (min) real_time across repetitions:
     # on an otherwise-idle host, noise only inflates timings, so the minimum
     # is the most stable per-run estimator. Single-sample snapshots (older
     # baselines) degenerate to their one entry.
@@ -93,7 +95,7 @@ def load(p):
         if b.get("run_type", "iteration") != "iteration":
             continue
         prev = out.get(b["name"])
-        if prev is None or b["cpu_time"] < prev["cpu_time"]:
+        if prev is None or b["real_time"] < prev["real_time"]:
             out[b["name"]] = b
     return out
 
@@ -109,12 +111,12 @@ for name, c in cand.items():
         # against; summarized in one line below instead of flag rows.
         new_names.append(name)
         continue
-    ratio = c["cpu_time"] / b["cpu_time"] if b["cpu_time"] > 0 else float("inf")
+    ratio = c["real_time"] / b["real_time"] if b["real_time"] > 0 else float("inf")
     flag = ""
     if ratio > 1.0 + tol:
         flag = "  << REGRESSION"
         regressed.append((name, ratio))
-    print(f"{name:<42} {b['cpu_time']:>12.0f} {c['cpu_time']:>12.0f} {ratio:>7.2f}{flag}")
+    print(f"{name:<42} {b['real_time']:>12.0f} {c['real_time']:>12.0f} {ratio:>7.2f}{flag}")
 for name in base:
     if name not in cand:
         print(f"{name:<42}   (missing from this run)")
@@ -128,12 +130,12 @@ if regressed:
     print(f"\n{len(regressed)} benchmark(s) regressed more than "
           f"{tol:.0%} vs {base_path}:", file=sys.stderr)
     for name, ratio in regressed:
-        print(f"  {name}: {ratio:.2f}x baseline cpu_time", file=sys.stderr)
+        print(f"  {name}: {ratio:.2f}x baseline real_time", file=sys.stderr)
     print("Re-run to rule out host noise; if real, fix it or re-snapshot with"
           " scripts/bench.sh and justify the new baseline in the commit.",
           file=sys.stderr)
     sys.exit(1)
-print(f"\nno cpu_time regressions beyond {tol:.0%}")
+print(f"\nno real_time regressions beyond {tol:.0%}")
 EOF
   exit 0
 fi

@@ -53,7 +53,7 @@ if [[ "$RELEASE" == 1 ]]; then
   ./build-rel/bench/fig15_16_scalability --engine-sweep --smoke
   echo "== benchmark compare vs BENCH_core.json (Release) =="
   # Full suite at the snapshot's min_time; fails on >GDVR_BENCH_TOLERANCE
-  # cpu_time regressions against the committed baseline.
+  # real_time regressions against the committed baseline.
   scripts/bench.sh --compare
   echo "release checks passed"
   exit 0

@@ -110,7 +110,7 @@ void VpodRunner::export_metrics(obs::Registry& reg) const {
   reg.counter("mdt.fd.gossip_suppressed").set(fd.gossip_suppressed);
   reg.counter("mdt.fd.stale_incarnation_dropped").set(fd.stale_incarnation_dropped);
 
-  // Incremental local-DT maintenance: what the memo misses actually cost.
+  // Incremental local-DT maintenance: what the input changes actually cost.
   const geom::DynamicDtStats dt = overlay.dt_stats();
   reg.counter("mdt.dt.inserts").set(dt.inserts);
   reg.counter("mdt.dt.removes").set(dt.removes);

@@ -223,25 +223,6 @@ double Triangulation::cell_orient(const Cell& c, int replace, const Vec& q) cons
   return det_inplace(buf, dim_);
 }
 
-double Triangulation::cell_orient2(const Cell& c, int ra, const Vec& qa, int rb,
-                                   const Vec& qb) const {
-  const double* w[kMaxVerts];
-  for (int i = 0; i <= dim_; ++i) {
-    if (i == ra)
-      w[static_cast<std::size_t>(i)] = qa.coords().data();
-    else if (i == rb)
-      w[static_cast<std::size_t>(i)] = qb.coords().data();
-    else
-      w[static_cast<std::size_t>(i)] =
-          pts_[static_cast<std::size_t>(c.v[static_cast<std::size_t>(i)])].coords().data();
-  }
-  double buf[12 * 12];
-  for (int r = 0; r < dim_; ++r)
-    for (int col = 0; col < dim_; ++col)
-      buf[r * dim_ + col] = w[static_cast<std::size_t>(r + 1)][col] - w[0][col];
-  return det_inplace(buf, dim_);
-}
-
 int Triangulation::locate_linear(const Vec& q) const {
   for (std::size_t ci = 0; ci < cells_.size(); ++ci)
     if (cells_[ci].alive && in_conflict(cells_[ci], q)) return static_cast<int>(ci);
@@ -691,196 +672,17 @@ bool Triangulation::remove_point(int v) {
   return true;
 }
 
-Triangulation::MoveResult Triangulation::move_point(int v, const Vec& p, bool allow_reinsert) {
+bool Triangulation::move_point(int v, const Vec& p) {
   GDVR_PROFILE_SCOPE("geom.delaunay_move");
-  if (!point_alive(v)) return MoveResult::kFailed;
-  if (!collect_star(v)) return MoveResult::kFailed;
-
-  // Early-out certificate (the kinetic-Delaunay certificate set): the
-  // topology is unchanged under v -> p iff
-  //   (1) every finite star cell keeps its orientation sign (no inversion),
-  //   (2) every facet of a finite star cell keeps its local Delaunay
-  //       property at the new position, and
-  //   (3) the hull stays locally convex at every ridge of every hull facet
-  //       incident to v (the infinite star cells).
-  // Facets not incident to the star are untouched, so local Delaunay (and
-  // hull convexity) everywhere else follows, and only v's coordinates plus
-  // the star's circumspheres need updating.
-  bool early = true;
-  star_centers_.clear();
-  star_r2_.clear();
-  // Pass 1: per-cell validity. Finite star cells must keep their
-  // orientation sign and admit a circumsphere at the new position; infinite
-  // cells have neither and get placeholder slots to keep the arrays in
-  // lockstep with star_.
-  for (int ci : star_) {
-    const Cell& c = cells_[static_cast<std::size_t>(ci)];
-    if (infinite_index(c) >= 0) {
-      star_centers_.push_back(Vec());
-      star_r2_.push_back(0.0);
-      continue;
-    }
-    int iv = -1;
-    for (int k = 0; k <= dim_; ++k)
-      if (c.v[static_cast<std::size_t>(k)] == v) iv = k;
-    const double so = cell_orient(c, -1, p);
-    const double sn = cell_orient(c, iv, p);
-    if (so == 0.0 || sn == 0.0 || (so > 0.0) != (sn > 0.0)) {
-      early = false;
-      break;
-    }
-    const double* rows[kMaxVerts];
-    for (int i = 0; i <= dim_; ++i)
-      rows[static_cast<std::size_t>(i)] =
-          i == iv ? p.coords().data()
-                  : pts_[static_cast<std::size_t>(c.v[static_cast<std::size_t>(i)])].coords().data();
-    Vec center;
-    double r2 = 0.0;
-    if (!circumsphere_rows(rows, dim_, center, r2)) {
-      early = false;
-      break;
-    }
-    star_centers_.push_back(center);
-    star_r2_.push_back(r2);
-  }
-  if (early) {
-    // Pass 2: facet certificates.
-    for (std::size_t si = 0; si < star_.size() && early; ++si) {
-      const Cell& c = cells_[static_cast<std::size_t>(star_[si])];
-      const int inf = infinite_index(c);
-      int iv = -1;
-      for (int k = 0; k <= dim_; ++k)
-        if (c.v[static_cast<std::size_t>(k)] == v) iv = k;
-      if (inf < 0) {
-        for (int k = 0; k <= dim_ && early; ++k) {
-          const int nb = c.nbr[static_cast<std::size_t>(k)];
-          if (nb < 0) {
-            early = false;
-            break;
-          }
-          if (k == iv) {
-            // Facet opposite v: the outside neighbor is unchanged; the moved
-            // vertex must stay outside its conflict region.
-            if (in_conflict(cells_[static_cast<std::size_t>(nb)], p)) early = false;
-          } else {
-            // Facet containing v: the neighbor is another star cell. Its apex
-            // (the vertex opposite the shared facet) must stay outside our
-            // updated circumsphere.
-            const Cell& nc = cells_[static_cast<std::size_t>(nb)];
-            // v is on the shared facet, so it can never be the apex: use it
-            // as the not-yet-found sentinel. kInfinite (= -1) is a *valid*
-            // apex here and must stay distinguishable from "not found".
-            int apex = v;
-            for (int i = 0; i <= dim_ && apex == v; ++i) {
-              const int w = nc.v[static_cast<std::size_t>(i)];
-              bool on_facet = false;
-              for (int j = 0; j <= dim_; ++j)
-                if (j != k && c.v[static_cast<std::size_t>(j)] == w) on_facet = true;
-              if (!on_facet) apex = w;
-            }
-            // An infinite apex means this facet is a hull facet of an
-            // infinite star cell; its conditions are the ridge-convexity
-            // checks run from that cell's side below. (Guarding this before
-            // the sanity decline is load-bearing: hull vertices would
-            // otherwise never certify, turning every hull move into a
-            // remove+reinsert -- or, on minimum-size complexes whose links
-            // are too small to remove from, a full rebuild.)
-            if (apex == kInfinite) continue;
-            if (apex == v) {  // inconsistent adjacency: don't trust the star
-              early = false;
-              break;
-            }
-            const double d2 =
-                pts_[static_cast<std::size_t>(apex)].distance2(star_centers_[si]);
-            if (d2 < star_r2_[si]) early = false;
-          }
-        }
-      } else {
-        // Infinite star cell: its hull facet F (the finite vertices of c)
-        // contains v. The facet opposite the infinite slot borders the
-        // finite cell F + {apex}, which also contains v and is covered by
-        // pass 1 and the finite-cell facet checks. What remains is local
-        // convexity of the moved hull at each ridge of F: the apex of every
-        // adjacent hull facet must stay strictly on the inner side of F's
-        // new hyperplane, where "inner" is the side of the adjacent finite
-        // cell's apex.
-        const int fin = c.nbr[static_cast<std::size_t>(inf)];
-        if (fin < 0 || infinite_index(cells_[static_cast<std::size_t>(fin)]) >= 0) {
-          early = false;  // degenerate flat hull
-          break;
-        }
-        const Cell& fc = cells_[static_cast<std::size_t>(fin)];
-        int a_fin = -1;
-        for (int i = 0; i <= dim_ && a_fin < 0; ++i) {
-          const int w = fc.v[static_cast<std::size_t>(i)];
-          bool on_facet = false;
-          for (int j = 0; j <= dim_; ++j)
-            if (j != inf && c.v[static_cast<std::size_t>(j)] == w) on_facet = true;
-          if (!on_facet) a_fin = w;
-        }
-        if (a_fin < 0 || a_fin == kInfinite || a_fin == v) {
-          early = false;
-          break;
-        }
-        const double base =
-            cell_orient2(c, inf, pts_[static_cast<std::size_t>(a_fin)], iv, p);
-        if (base == 0.0) {
-          early = false;
-          break;
-        }
-        for (int k = 0; k <= dim_ && early; ++k) {
-          if (k == inf) continue;
-          const int nb = c.nbr[static_cast<std::size_t>(k)];
-          if (nb < 0) {
-            early = false;
-            break;
-          }
-          // The neighbor across a ridge (facet keeping the infinite slot)
-          // is the adjacent hull facet's infinite cell; its apex is finite.
-          const Cell& nc = cells_[static_cast<std::size_t>(nb)];
-          int a_r = -1;
-          for (int i = 0; i <= dim_ && a_r < 0; ++i) {
-            const int w = nc.v[static_cast<std::size_t>(i)];
-            bool on_facet = false;
-            for (int j = 0; j <= dim_; ++j)
-              if (j != k && c.v[static_cast<std::size_t>(j)] == w) on_facet = true;
-            if (!on_facet) a_r = w;
-          }
-          if (a_r < 0 || a_r == kInfinite || a_r == v) {
-            early = false;
-            break;
-          }
-          const double o = cell_orient2(c, inf, pts_[static_cast<std::size_t>(a_r)], iv, p);
-          if (o == 0.0 || (o > 0.0) != (base > 0.0)) early = false;
-        }
-      }
-    }
-    if (early) {
-      pts_[static_cast<std::size_t>(v)] = p;
-      for (std::size_t si = 0; si < star_.size(); ++si) {
-        Cell& c = cells_[static_cast<std::size_t>(star_[si])];
-        if (infinite_index(c) >= 0) continue;
-        c.center = star_centers_[si];
-        c.radius2 = star_r2_[si];
-      }
-      return MoveResult::kEarlyOut;
-    }
-  }
-
-  // The certificate failed: the topology must change. A caller batching
-  // moves opts out of per-point repair and coalesces into one rebuild.
-  if (!allow_reinsert) return MoveResult::kDeclined;
-
-  // Slow path: remove, then reinsert the same vertex slot at the new
-  // position (the slot just freed is by construction the back of the free
-  // list).
-  if (!remove_point(v)) return MoveResult::kFailed;
+  // Remove, then reinsert the same vertex slot at the new position (the slot
+  // just freed is by construction the back of the free list).
+  if (!remove_point(v)) return false;
   GDVR_ASSERT(!point_free_.empty() && point_free_.back() == v);
   point_free_.pop_back();
   pt_alive_[static_cast<std::size_t>(v)] = 1;
   ++live_points_;
   pts_[static_cast<std::size_t>(v)] = p;
-  return insert(v) ? MoveResult::kReinserted : MoveResult::kFailed;
+  return insert(v);
 }
 
 std::vector<std::pair<int, int>> Triangulation::finite_edges() const {

@@ -120,19 +120,10 @@ class Triangulation {
   // link, inconsistent cavity).
   bool remove_point(int v);
 
-  // Moves vertex v to `p` (already jittered). Fast path: when the kinetic
-  // Delaunay certificate set holds at the new position -- every finite star
-  // cell keeps its orientation sign, every star-cell facet keeps its local
-  // Delaunay property, and the hull stays locally convex at every ridge of
-  // every hull facet incident to v -- only positions and cached
-  // circumspheres change, no topology update at all. Otherwise the move
-  // degrades to remove_point + reinsertion at the same vertex slot, unless
-  // `allow_reinsert` is false: then kDeclined is returned with the complex
-  // untouched (still holding v's old position), so a caller applying a
-  // batch of moves can coalesce every declined move into one rebuild
-  // instead of paying a cavity dig + link-DT build per point.
-  enum class MoveResult { kEarlyOut, kReinserted, kDeclined, kFailed };
-  MoveResult move_point(int v, const Vec& p, bool allow_reinsert = true);
+  // Moves vertex v to `p` (already jittered): remove_point, then reinsertion
+  // at the same vertex slot, so callers' index maps stay valid. Returns
+  // false on failure (the complex is then poisoned, as above).
+  bool move_point(int v, const Vec& p);
 
   // Sorted finite Delaunay neighbors of vertex v, via a BFS over v's star.
   // Returns false if v's star cannot be collected (inconsistent complex).
@@ -199,9 +190,6 @@ class Triangulation {
   // Orientation sign of the simplex formed by cell c's vertices with the one
   // at index `replace` (if >= 0) substituted by q. Stack buffers only.
   double cell_orient(const Cell& c, int replace, const Vec& q) const;
-  // Same with two substituted vertices -- the hull-convexity certificates in
-  // move_point need the moved vertex AND the infinite slot replaced at once.
-  double cell_orient2(const Cell& c, int ra, const Vec& qa, int rb, const Vec& qb) const;
   // Takes a slot off the free list (or grows cells_); returns its id.
   int alloc_cell();
 
@@ -236,14 +224,12 @@ class Triangulation {
   std::vector<int> created_;
   FacetTable facets_;
   // Scratch for the incremental operations (star cells, link vertex ids and
-  // coordinates, selected filling cells, tentative circumspheres of a moved
-  // star) plus the scratch triangulation of a removed vertex's link.
+  // coordinates, selected filling cells) plus the scratch triangulation of a
+  // removed vertex's link.
   std::vector<int> star_;
   std::vector<int> link_;
   std::vector<Vec> link_pts_;
   std::vector<int> sel_;
-  std::vector<Vec> star_centers_;
-  std::vector<double> star_r2_;
   std::unique_ptr<Triangulation> cavity_tri_;
 };
 

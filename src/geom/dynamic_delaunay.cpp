@@ -183,178 +183,59 @@ void DynamicDelaunay::move(Key key, const Vec& pos) {
     return;
   }
   const auto ii = key_find(idx_, key);
-  bool ok = ii != idx_.end();
-  if (ok) {
-    const Triangulation::MoveResult r = tri_.move_point(ii->second, jittered(key, pos, level_));
-    if (r == Triangulation::MoveResult::kEarlyOut) ++stats_.move_early_outs;
-    ok = r != Triangulation::MoveResult::kFailed;
-  }
-  if (!ok) {
+  if (ii == idx_.end() || !tri_.move_point(ii->second, jittered(key, pos, level_))) {
     ++stats_.full_rebuilds;
     rebuild();
   }
 }
 
-void DynamicDelaunay::apply_diff(std::span<const Key> removes,
-                                 std::span<const std::pair<Key, Vec>> inserts,
-                                 std::span<const std::pair<Key, Vec>> moves) {
-  if (removes.empty() && inserts.empty() && moves.empty()) return;
-  if (!tri_ok_) {
-    // Complete-graph or undersized mode: apply the whole batch to the raw
-    // set, then at most one build attempt (a nudge may fix a degenerate set).
-    bool changed = false;
-    for (Key k : removes) {
-      auto it = key_find(raw_, k);
-      if (it == raw_.end()) continue;
-      ++stats_.removes;
-      raw_.erase(it);
-      changed = true;
-    }
-    for (const auto& [k, p] : inserts) {
-      GDVR_ASSERT(p.dim() == dim_);
-      ++stats_.inserts;
-      auto it = key_slot(raw_, k);
-      GDVR_ASSERT(it == raw_.end() || it->first != k);
-      raw_.insert(it, {k, p});
-      changed = true;
-    }
-    for (const auto& [k, p] : moves) {
-      auto it = key_find(raw_, k);
-      GDVR_ASSERT(it != raw_.end());
-      GDVR_ASSERT(p.dim() == dim_);
-      ++stats_.moves;
-      if (it->second == p) continue;
-      it->second = p;
-      changed = true;
-    }
-    if (changed) rebuild();  // resets complete-graph mode when still undersized
-    return;
-  }
-  // Phase 1: moves, early-out certificate only, against the pre-batch
-  // complex. A declined move leaves the complex untouched, so the whole
-  // remaining batch can still collapse into one rebuild. Any interleaving of
-  // the batch's ops lands on the same complex -- each op preserves the
-  // Delaunay invariant and the jittered set's DT is unique -- so evaluating
-  // move certificates before the removes/inserts is safe.
-  //
-  // Cost model, in units of one fresh insert (a cavity dig): a remove also
-  // builds the link DT of its hole, a declined move repaired per-point pays
-  // both. A from-scratch rebuild is about one insert per live point, but the
-  // per-point ops run on a complex the batch keeps perturbing and their
-  // constants are worse than bulk insertion, so the bar is set at half a
-  // rebuild: measured on the VPoD steady-state bench, n/2 and n/3 tie while
-  // a full-n bar loses ~15% by staying per-point too long. Once the batch's
-  // structural work passes the bar, one rebuild replaces all of it -- a
-  // mostly-moved diff (VPoD steady state) collapses to from-scratch cost
-  // while a mostly-unchanged diff stays O(affected).
-  const std::size_t rebuild_cost = raw_.size() / 2;
-  const std::size_t fixed_cost = inserts.size() + 2 * removes.size();
-  declined_scratch_.clear();
-  std::size_t mi = 0;
-  bool bail = fixed_cost > rebuild_cost;
-  // Predictive skip: when a batch bails, every certificate already attempted
-  // -- including the ones that passed -- was wasted, because the rebuild
-  // re-places those points from raw_ anyway. So before attempting any,
-  // predict the declines from the trailing early-out rate and skip straight
-  // to the rebuild when the batch looks doomed. Every 8th skip runs phase 1
-  // anyway, so a workload that turns calm (small steps, certificates start
-  // holding) pulls the estimate back up and re-enables the incremental path.
-  if (!bail && !moves.empty()) {
-    const double predicted = static_cast<double>(moves.size()) * (1.0 - eo_rate_);
-    if (static_cast<double>(fixed_cost) + 3.0 * predicted > static_cast<double>(rebuild_cost)) {
-      if (skips_since_probe_ < 7) {
-        ++skips_since_probe_;
-        bail = true;
-      } else {
-        skips_since_probe_ = 0;
-      }
-    }
-  }
-  std::size_t attempted = 0;
-  std::size_t attempted_eo = 0;
-  for (; !bail && mi < moves.size(); ++mi) {
-    const auto& [k, p] = moves[mi];
-    auto it = key_find(raw_, k);
-    GDVR_ASSERT(it != raw_.end());
-    GDVR_ASSERT(p.dim() == dim_);
-    ++stats_.moves;
-    if (it->second == p) continue;
-    it->second = p;
-    const auto ii = key_find(idx_, k);
-    if (ii == idx_.end()) {
-      bail = true;  // index inconsistency: let the rebuild resolve it
-      ++mi;
-      break;
-    }
-    const Triangulation::MoveResult r =
-        tri_.move_point(ii->second, jittered(k, p, level_), /*allow_reinsert=*/false);
-    ++attempted;
-    if (r == Triangulation::MoveResult::kEarlyOut) {
-      ++attempted_eo;
-      ++stats_.move_early_outs;
+bool DynamicDelaunay::update(std::span<const std::pair<Key, Vec>> points) {
+  // Two-pointer diff of the key-sorted input against raw_.
+  removed_scratch_.clear();
+  inserted_scratch_.clear();
+  moved_scratch_.clear();
+  std::size_t ni = 0;
+  for (auto old = raw_.begin(); old != raw_.end() || ni < points.size();) {
+    if (ni == points.size() || (old != raw_.end() && old->first < points[ni].first)) {
+      removed_scratch_.push_back(old->first);
+      ++old;
       continue;
     }
-    if (r == Triangulation::MoveResult::kDeclined &&
-        fixed_cost + 3 * (declined_scratch_.size() + 1) <= rebuild_cost) {
-      declined_scratch_.push_back(k);
-      continue;
+    GDVR_ASSERT(ni == 0 || points[ni - 1].first < points[ni].first);
+    GDVR_ASSERT(points[ni].second.dim() == dim_);
+    if (old == raw_.end() || points[ni].first < old->first) {
+      inserted_scratch_.push_back(ni);
+    } else {
+      if (!(old->second == points[ni].second)) moved_scratch_.push_back(ni);
+      ++old;
     }
-    bail = true;  // kFailed, or past the point where one rebuild is cheaper
-    ++mi;
-    break;
+    ++ni;
   }
-  if (attempted > 0)
-    eo_rate_ = (3.0 * eo_rate_ + static_cast<double>(attempted_eo) / static_cast<double>(attempted)) / 4.0;
-  if (bail) {
-    // Fold everything still pending -- remaining moves, all removes, all
-    // inserts, the declined moves already recorded in raw_ -- into one
-    // rebuild instead of paying per-point cavity work first.
-    for (; mi < moves.size(); ++mi) {
-      const auto& [k, p] = moves[mi];
-      auto it = key_find(raw_, k);
-      GDVR_ASSERT(it != raw_.end());
-      ++stats_.moves;
-      it->second = p;
-    }
-    for (Key k : removes) {
-      auto it = key_find(raw_, k);
-      if (it == raw_.end()) continue;
-      ++stats_.removes;
-      raw_.erase(it);
-    }
-    for (const auto& [k, p] : inserts) {
-      GDVR_ASSERT(p.dim() == dim_);
-      ++stats_.inserts;
-      auto it = key_slot(raw_, k);
-      GDVR_ASSERT(it == raw_.end() || it->first != k);
-      raw_.insert(it, {k, p});
-    }
-    ++stats_.full_rebuilds;
-    rebuild();
-    return;
+  if (removed_scratch_.empty() && inserted_scratch_.empty() && moved_scratch_.empty())
+    return false;
+
+  // The bar is half a rebuild, not a whole one: a rebuild is about one
+  // insert per live point, but the per-point ops run on a complex the diff
+  // keeps perturbing and their constants are worse than bulk insertion.
+  // Measured on the VPoD steady state, n/2 and n/3 tie while a full-n bar
+  // loses ~15% by staying per-point too long.
+  const std::size_t cost =
+      inserted_scratch_.size() + 2 * removed_scratch_.size() + 3 * moved_scratch_.size();
+  if (!tri_ok_ || cost > raw_.size() / 2) {
+    // Undersized, complete-graph or dense diff: one build over the new set
+    // (a nudge may also make a degenerate set triangulable again).
+    stats_.inserts += inserted_scratch_.size();
+    stats_.removes += removed_scratch_.size();
+    stats_.moves += moved_scratch_.size();
+    if (tri_ok_) ++stats_.full_rebuilds;
+    assign(points);
+    return true;
   }
-  // Phase 2: cheap enough to stay incremental. remove()/insert() recover
-  // from their own failures with an internal rebuild (which consumes raw_,
-  // already holding every declined move's position).
-  for (Key k : removes) remove(k);
-  for (const auto& [k, p] : inserts) insert(k, p);
-  for (Key k : declined_scratch_) {
-    if (!tri_ok_) return;  // a structural op above fell back; nothing to repair
-    const auto ii = key_find(idx_, k);
-    const auto rt = key_find(raw_, k);
-    const Triangulation::MoveResult r =
-        (ii != idx_.end() && rt != raw_.end())
-            ? tri_.move_point(ii->second, jittered(k, rt->second, level_), /*allow_reinsert=*/true)
-            : Triangulation::MoveResult::kFailed;
-    if (r == Triangulation::MoveResult::kFailed) {
-      ++stats_.full_rebuilds;
-      rebuild();
-      return;
-    }
-    // kReinserted keeps the same vertex slot, so idx_ stays valid. A second
-    // early-out is possible when an earlier repair restored the certificate.
-    if (r == Triangulation::MoveResult::kEarlyOut) ++stats_.move_early_outs;
-  }
+  // remove()/insert()/move() recover from their own failures with a rebuild.
+  for (Key k : removed_scratch_) remove(k);
+  for (std::size_t i : inserted_scratch_) insert(points[i].first, points[i].second);
+  for (std::size_t i : moved_scratch_) move(points[i].first, points[i].second);
+  return true;
 }
 
 std::vector<DynamicDelaunay::Key> DynamicDelaunay::neighbors(Key key) {

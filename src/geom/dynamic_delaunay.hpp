@@ -2,17 +2,19 @@
 //
 // The MDT overlay maintains, per node, the Delaunay neighbors of the node
 // within a small churning candidate set. delaunay_graph() recomputes that
-// triangulation from scratch on every input change; this wrapper keeps one
-// live Triangulation and applies O(affected) insert / remove / move updates
-// instead, falling back to a full rebuild only when an incremental operation
-// reports an inconsistency.
+// triangulation from scratch on every input change; this wrapper owns the
+// node's keyed point set, keeps one live Triangulation over it and applies
+// O(affected) insert / remove / move updates instead, falling back to a full
+// rebuild when a diff is dense or an incremental operation reports an
+// inconsistency.
 //
 // Determinism contract: jitter is a pure function of (key, position,
 // escalation level) -- never of insertion order or of the rest of the set --
 // so an incrementally maintained instance and a freshly assign()ed oracle
 // holding the same logical points place every point at bit-identical
 // coordinates. Structural equality of the two complexes is pinned in
-// geom_test across randomized insert/remove/move schedules.
+// geom_test across randomized insert/remove/move schedules and update()
+// sequences.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +32,10 @@ struct DynamicDtStats {
   std::uint64_t inserts = 0;
   std::uint64_t removes = 0;
   std::uint64_t moves = 0;
-  std::uint64_t move_early_outs = 0;  // topology untouched, spheres updated in place
-  std::uint64_t full_rebuilds = 0;    // incremental op failed -> rebuilt from scratch
+  // Always 0: every move is a remove + reinsert. Kept so the exported
+  // mdt.dt.* metric set stays the same.
+  std::uint64_t move_early_outs = 0;
+  std::uint64_t full_rebuilds = 0;    // rebuilt from scratch: an op failed or a diff was dense
   std::uint64_t walk_fallbacks = 0;   // forwarded from the walk-based locate kernel
 };
 
@@ -41,27 +45,28 @@ class DynamicDelaunay {
 
   explicit DynamicDelaunay(int dim, const DelaunayOptions& opts = {});
 
-  // Replaces the whole point set and builds from scratch. This is the
-  // initial build and the kFullRebuild oracle path: it runs the same
+  // Replaces the whole point set and builds from scratch. It runs the same
   // jitter-escalation ladder every time, so two instances assigned the same
-  // set are bit-identical.
+  // set are bit-identical: this is the reference the incremental paths are
+  // tested against.
   void assign(std::span<const std::pair<Key, Vec>> points);
 
   void insert(Key key, const Vec& pos);
   void remove(Key key);
   void move(Key key, const Vec& pos);
 
-  // Applies one batch of updates. Lands on the same complex as the per-op
-  // calls above (the jittered set's DT is unique); only the repair policy
-  // differs. Moves attempt their early-out certificate first -- declines
-  // leave the complex untouched -- and the batch's structural work (removes,
-  // inserts, declined moves) is costed against one from-scratch build; past
-  // that line the whole remainder becomes a single rebuild instead of
-  // per-point cavity digs. This keeps a mostly-moved diff (the VPoD steady
-  // state: every position nudged each adjustment period) no worse than the
-  // from-scratch baseline while a mostly-unchanged diff stays O(affected).
-  void apply_diff(std::span<const Key> removes, std::span<const std::pair<Key, Vec>> inserts,
-                  std::span<const std::pair<Key, Vec>> moves);
+  // Makes the instance hold exactly `points` (sorted by key, keys unique)
+  // and returns whether anything changed. The diff against the current set
+  // -- absent keys removed, new keys inserted, keys whose position value
+  // changed moved -- lands on the same complex as assign(points), since the
+  // jittered set's DT is unique; only the repair policy differs. The diff is
+  // costed in units of one insert (a cavity dig): a remove also builds the
+  // link DT of its hole (2), a move is a remove + reinsert (3). Up to half a
+  // from-scratch rebuild it is applied point by point, past that as one
+  // rebuild, so a mostly-moved set (the VPoD steady state: every position
+  // nudged each adjustment period) costs no more than a rebuild while a
+  // mostly-unchanged set stays O(affected).
+  bool update(std::span<const std::pair<Key, Vec>> points);
 
   bool contains(Key key) const;
   int size() const { return static_cast<int>(raw_.size()); }
@@ -98,14 +103,14 @@ class DynamicDelaunay {
   Triangulation tri_;
   bool tri_ok_ = false;
   int level_ = 0;  // jitter-escalation level the current complex was built at
-  // apply_diff's predictive-skip state: trailing early-out rate of attempted
-  // move certificates (EWMA, decay 3/4) and skips since the last probe.
-  double eo_rate_ = 0.5;
-  int skips_since_probe_ = 0;
   DynamicDtStats stats_;
   std::vector<int> nbr_scratch_;
   std::vector<Vec> pts_scratch_;
-  std::vector<Key> declined_scratch_;  // apply_diff: moves awaiting per-point repair
+  // update()'s diff: removed keys, and indices into its input of the
+  // inserted and moved points.
+  std::vector<Key> removed_scratch_;
+  std::vector<std::size_t> inserted_scratch_;
+  std::vector<std::size_t> moved_scratch_;
 };
 
 }  // namespace gdvr::geom

@@ -140,9 +140,8 @@ geom::DynamicDtStats MdtOverlay::dt_stats() const {
 void MdtOverlay::set_position(NodeId u, const Vec& pos, double err) {
   NodeState& s = st(u);
   // The version is a name for the position *value*: only mint a new one when
-  // the value changes, so downstream memoization (recompute) sees identical
-  // input for an unmoved node. Error updates and the announcement below are
-  // unaffected.
+  // the value changes, so equal (id, version) always means an equal
+  // position. Error updates and the announcement below are unaffected.
   if (!(pos == s.pos)) s.pos_version += 1;
   s.pos = pos;
   s.err = err;
@@ -976,108 +975,20 @@ void MdtOverlay::recompute(NodeId u) {
   refresh_phys(u);
   ++rec_at(u).calls;
 
-  // Memoization: the local DT depends only on the positions of {u} + P_u +
-  // C_u, and every advertised position travels with its owner's monotonic
-  // pos_version -- equal (id, version) implies an identical position. Hash
-  // the input as a sequence of those pairs (map order is deterministic) and
-  // replay the cached neighbor set when the exact input was triangulated
-  // before. The cache holds a few entries because steady-state rounds cycle
-  // through a small set of inputs: the pair sync re-teaches neighbors'
-  // neighbors each round, recompute considers them once and prunes them, so
-  // the input alternates between "with" and "without" those candidates.
-  std::uint64_t h = mix64(0x4D44542Dull ^ s.pos_version);
-  for (const auto& [id, info] : s.phys)
-    h = mix64(h ^ mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) << 32) ^
-                        info.pos_version));
-  for (const auto& [id, c] : s.cand) {
-    if (s.phys.count(id)) continue;
-    h = mix64(h ^ mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) << 32) ^
-                        c.pos_version));
-  }
-
-  auto cached = std::find_if(s.dt_cache.begin(), s.dt_cache.end(),
-                             [h](const NodeState::DtCacheEntry& e) { return e.hash == h; });
-  if (cached != s.dt_cache.end()) {
-    s.dt_nbrs = cached->nbrs;
-    cached->stamp = ++s.dt_cache_clock;
-  } else {
-    ++rec_at(u).rebuilds;
-
-    // Local DT of {u} + P_u + C_u; N_u = u's neighbors in it. The desired
-    // input is collected as a sorted (id, pos, version) sequence -- u plus
-    // two already-sorted maps -- and diffed against dt_in, the multiset the
-    // live triangulation currently holds, so only changed points are
-    // touched: O(affected) instead of recompute-from-scratch.
-    struct DtInput {
-      NodeId id;
-      const Vec* pos;
-      std::uint64_t ver;
-    };
-    std::vector<DtInput> in;
-    in.reserve(1 + s.phys.size() + s.cand.size());
-    in.push_back({u, &s.pos, s.pos_version});
-    for (const auto& [id, info] : s.phys) in.push_back({id, &info.pos, info.pos_version});
-    for (const auto& [id, c] : s.cand) {
-      if (s.phys.count(id)) continue;
-      in.push_back({id, &c.pos, c.pos_version});
-    }
-    std::sort(in.begin(), in.end(),
-              [](const DtInput& a, const DtInput& b) { return a.id < b.id; });
-
-    const bool full = config_.dt_maintenance == MdtConfig::DtMaintenance::kFullRebuild;
-    if (!s.dyn) s.dyn = std::make_unique<geom::DynamicDelaunay>(s.pos.dim());
-    if (full || s.dt_in.empty()) {
-      std::vector<std::pair<geom::DynamicDelaunay::Key, Vec>> pts;
-      pts.reserve(in.size());
-      for (const DtInput& e : in) pts.emplace_back(e.id, *e.pos);
-      s.dyn->assign(pts);
-    } else {
-      // Two-pointer diff of sorted (id, version) sequences: ids present only
-      // in dt_in are removed, ids present only in `in` are inserted, and a
-      // version bump on a shared id is a point move. The collected diff is
-      // applied as one batch so DynamicDelaunay can coalesce moves that fail
-      // their early-out certificate into a single rebuild.
-      std::vector<geom::DynamicDelaunay::Key> removes;
-      std::vector<std::pair<geom::DynamicDelaunay::Key, Vec>> inserts;
-      std::vector<std::pair<geom::DynamicDelaunay::Key, Vec>> moves;
-      auto old_it = s.dt_in.begin();
-      auto new_it = in.begin();
-      while (old_it != s.dt_in.end() || new_it != in.end()) {
-        if (new_it == in.end() || (old_it != s.dt_in.end() && old_it->first < new_it->id)) {
-          removes.push_back(old_it->first);
-          ++old_it;
-        } else if (old_it == s.dt_in.end() || new_it->id < old_it->first) {
-          inserts.emplace_back(new_it->id, *new_it->pos);
-          ++new_it;
-        } else {
-          if (old_it->second != new_it->ver) moves.emplace_back(new_it->id, *new_it->pos);
-          ++old_it;
-          ++new_it;
-        }
-      }
-      s.dyn->apply_diff(removes, inserts, moves);
-    }
-    s.dt_in.clear();
-    s.dt_in.reserve(in.size());
-    for (const DtInput& e : in) s.dt_in.emplace_back(e.id, e.ver);  // `in` is id-sorted
-
-    s.dt_nbrs.clear();
-    if (in.size() >= 2) {
-      for (geom::DynamicDelaunay::Key k : s.dyn->neighbors(u))
-        s.dt_nbrs.push_back(static_cast<NodeId>(k));
-      // DynamicDelaunay::neighbors returns sorted keys already.
-    }
-
-    constexpr std::size_t kDtCacheEntries = 4;
-    if (s.dt_cache.size() < kDtCacheEntries) {
-      s.dt_cache.push_back({h, s.dt_nbrs, ++s.dt_cache_clock});
-    } else {
-      auto lru = std::min_element(s.dt_cache.begin(), s.dt_cache.end(),
-                                  [](const NodeState::DtCacheEntry& a,
-                                     const NodeState::DtCacheEntry& b) { return a.stamp < b.stamp; });
-      *lru = {h, s.dt_nbrs, ++s.dt_cache_clock};
-    }
-  }
+  // Local DT of {u} + P_u + C_u; N_u = u's neighbors in it. The live DT
+  // diffs the key-sorted input against the set it holds, so an unchanged
+  // input costs no triangulation work and a changed one only the diff.
+  std::vector<std::pair<geom::DynamicDelaunay::Key, Vec>> in;
+  in.reserve(1 + s.phys.size() + s.cand.size());
+  in.emplace_back(u, s.pos);
+  for (const auto& [id, info] : s.phys) in.emplace_back(id, info.pos);
+  for (const auto& [id, c] : s.cand)
+    if (!s.phys.count(id)) in.emplace_back(id, c.pos);
+  std::sort(in.begin(), in.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (!s.dyn) s.dyn = std::make_unique<geom::DynamicDelaunay>(s.pos.dim());
+  if (s.dyn->update(in)) ++rec_at(u).rebuilds;
+  const std::vector<geom::DynamicDelaunay::Key> nbrs = s.dyn->neighbors(u);
+  s.dt_nbrs.assign(nbrs.begin(), nbrs.end());
 
   // Candidate pruning (soft state): keep DT neighbors, physical neighbors,
   // nodes with an exchange in flight, and freshly learned nodes that have

@@ -63,14 +63,6 @@ struct MdtConfig {
   // maintenance round -- the mechanism behind churn recovery (Sec. IV-H).
   double neighbor_stale_s = 45.0;
   double recompute_delay_s = 0.7;  // coalescing delay for local DT recomputes
-  // Local-DT maintenance strategy. kIncremental (default) keeps one live
-  // triangulation per node and applies only the diff of the input multiset
-  // {(id, pos_version)} since the last recompute -- O(affected) point
-  // inserts/removes/moves. kFullRebuild re-triangulates from scratch on
-  // every memoization miss; it is the oracle the incremental path is pinned
-  // against (mdt_fuzz_test), the same pattern as kAllPairs/kLinearScan.
-  enum class DtMaintenance { kIncremental, kFullRebuild };
-  DtMaintenance dt_maintenance = DtMaintenance::kIncremental;
   // Robustness: when a maintenance round observes that N_u changed since the
   // previous round (churn, partition healing, large position shifts), one
   // follow-up neighbor-set sync fires after this delay, still inside the
@@ -187,11 +179,11 @@ class MdtOverlay {
     return total;
   }
 
-  // Local-DT memoization counters: `calls` counts recompute() invocations on
-  // live nodes, `rebuilds` the subset that actually re-triangulated because
-  // the input multiset {(id, pos_version)} + own position changed. On a
-  // converged, churn-free network the hit rate (1 - rebuilds/calls)
-  // approaches 1: maintenance rounds become near-zero triangulation work.
+  // Local-DT counters: `calls` counts recompute() invocations on live
+  // nodes, `rebuilds` the subset whose input -- the positions of {u} + P_u +
+  // C_u -- changed since the node's previous recompute, so the live DT had
+  // to be updated. On a converged, churn-free network rebuilds/calls
+  // approaches 0: maintenance rounds become near-zero triangulation work.
   struct RecomputeStats {
     std::uint64_t calls = 0;
     std::uint64_t rebuilds = 0;
@@ -278,30 +270,11 @@ class MdtOverlay {
     std::map<std::pair<NodeId, NodeId>, RelayEntry> relay;
     std::map<NodeId, PendingSync> pending;
     std::vector<NodeId> prev_round_dt;    // N_u at the previous maintenance round
-    // Memoized local-DT results, keyed by a hash of the triangulated input
-    // (own pos_version plus every contributing (id, pos_version) pair). A
-    // handful of entries, LRU-evicted: steady-state maintenance alternates
-    // between a small cycle of inputs (freshly synced neighbors-of-neighbors
-    // appear, get pruned, reappear next round), and each recurring input
-    // replays its cached neighbor set instead of re-triangulating.
-    // Deactivation resets the whole NodeState, so a crashed-and-rejoined
-    // node can never serve a stale cache entry.
-    struct DtCacheEntry {
-      std::uint64_t hash = 0;
-      std::vector<NodeId> nbrs;
-      std::uint64_t stamp = 0;  // LRU clock value of the last use
-    };
-    std::vector<DtCacheEntry> dt_cache;
-    std::uint64_t dt_cache_clock = 0;
-    // Incremental local-DT state: one live triangulation over {u} + P_u +
-    // C_u and the (id, pos_version) multiset it currently holds, so a memo
-    // miss applies only the diff. Reset with the rest of the NodeState on
-    // deactivation (counters are folded into dt_retired_ first).
+    // The local DT over {u} + P_u + C_u: it owns the point set it was last
+    // given, so each recompute applies only the diff. Reset with the rest of
+    // the NodeState on deactivation (counters are folded into dt_retired_
+    // first).
     std::unique_ptr<geom::DynamicDelaunay> dyn;
-    // (id, pos_version) the live DT holds, sorted by id: rebuilt by a linear
-    // append each recompute and consumed by a two-pointer diff, so a flat
-    // vector replaces the former std::map without changing iteration order.
-    std::vector<std::pair<NodeId, std::uint64_t>> dt_in;
     bool resync_scheduled = false;
     bool recompute_scheduled = false;
     sim::Time last_join_attempt = -1e18;  // rate limit for join retries

@@ -12,7 +12,7 @@ DistanceVector::DistanceVector(sim::NetSim<DvMsg>& net, const DvConfig& config)
     : net_(net),
       config_(config),
       tables_(static_cast<std::size_t>(net.size())),
-      dirty_(static_cast<std::size_t>(net.size()), false),
+      dirty_(static_cast<std::size_t>(net.size()), 0),
       changed_(static_cast<std::size_t>(net.size())),
       stats_(static_cast<std::size_t>(net.size())),
       rng_(0xD57A7ull) {}

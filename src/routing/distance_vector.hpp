@@ -99,7 +99,10 @@ class DistanceVector {
   sim::NetSim<DvMsg>& net_;
   DvConfig config_;
   std::vector<std::map<NodeId, Entry>> tables_;
-  std::vector<bool> dirty_;
+  // Per-node triggered-update flag. char, not bool: std::vector<bool> packs
+  // neighbouring nodes into one word, and sharded-engine lanes write the
+  // flags of their own nodes concurrently.
+  std::vector<char> dirty_;
   // Destinations whose entry changed since this node's last advertisement;
   // a triggered delta update floods exactly these. Cleared by every
   // advertisement (a full table trivially covers the set).

@@ -21,7 +21,7 @@ void MobilityDriver::reset() { init_nodes(); }
 void MobilityDriver::init_nodes() {
   const std::size_t n = static_cast<std::size_t>(config_.n);
   positions_.assign(n, Vec{0.0, 0.0});
-  nodes_.assign(n, NodeState{});
+  nodes_.assign(n, NodeState());
   moved_.clear();
   Rng base(config_.seed);
   const Vec extent{width_m_, height_m_};

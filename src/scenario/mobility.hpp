@@ -1,10 +1,10 @@
 // Continuous mobility drivers: random-waypoint and RPGM-style group motion.
 //
 // A MobilityDriver owns per-node kinematic state and advances it in discrete
-// steps; each step reports which nodes moved and by how much, so consumers
-// can feed position diffs straight into the incremental paths
-// (DynamicDelaunay::apply_diff, MdtOverlay::recompute's (id, pos_version)
-// delta) instead of rebuilding from scratch every round.
+// steps; each step reports which nodes moved, so consumers can hand the new
+// positions to an incremental path (DynamicDelaunay::update, the local-DT
+// maintenance under MdtOverlay::recompute) instead of rebuilding from scratch
+// every round.
 //
 // Models:
 //  * kRandomWaypoint -- each node independently picks a uniform waypoint and

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "geom/brute_force.hpp"
@@ -496,45 +497,11 @@ TEST(IncrementalDelaunay, RemoveMatchesFromScratch) {
   }
 }
 
-TEST(IncrementalDelaunay, MoveNudgesTakeTheEarlyOut) {
-  // VPoD adjustment regime: small interior nudges. Most moves must realize
-  // as the in-place early-out, and equality with the oracle must hold
-  // regardless of which path fired.
-  for (int dim : {2, 3}) {
-    const auto pts = random_points(30, dim, 9200u + static_cast<std::uint64_t>(dim));
-    DynamicDelaunay dyn(dim);
-    std::map<Key, Vec> shadow;
-    std::vector<std::pair<Key, Vec>> init;
-    for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
-      init.emplace_back(i, pts[static_cast<std::size_t>(i)]);
-      shadow.emplace(i, pts[static_cast<std::size_t>(i)]);
-    }
-    dyn.assign(init);
-    Rng rng(515u + static_cast<std::uint64_t>(dim));
-    for (int op = 0; op < 120; ++op) {
-      const Key k = rng.uniform_index(static_cast<int>(shadow.size()));
-      Vec p = shadow.at(k);
-      for (int c = 0; c < dim; ++c) p[c] += rng.uniform(-0.004, 0.004);
-      shadow[k] = p;
-      dyn.move(k, p);
-      if (op % 10 == 9) expect_matches_oracle(dyn, shadow, dim, {}, "nudge");
-    }
-    const DynamicDtStats s = dyn.stats();
-    EXPECT_EQ(s.moves, 120u);
-    // Hull vertices certify through the ridge-convexity conditions, which
-    // decline more often than interior in-sphere certificates do, and small
-    // 3D sets have fat hulls -- so demand a majority only of the 2D moves.
-    EXPECT_GT(s.move_early_outs, dim == 2 ? s.moves / 2 : s.moves / 3)
-        << "dim=" << dim << ": tiny interior nudges should rarely flip topology";
-    EXPECT_EQ(s.full_rebuilds, 0u) << "dim=" << dim;
-  }
-}
-
 TEST(IncrementalDelaunay, RandomOpFuzzMatchesOracle) {
   // The main pin: randomized insert/remove/move schedules, walk and
   // linear-scan kernels, 2D and 3D, checked against the from-scratch oracle
-  // throughout. Moves mix small nudges with teleports (which exercise the
-  // remove+reinsert path and hull changes).
+  // throughout. Moves mix small nudges with teleports (which also change the
+  // hull).
   for (const bool linear_scan : {false, true}) {
     DelaunayOptions opts;
     opts.force_linear_scan = linear_scan;
@@ -647,9 +614,9 @@ TEST(IncrementalDelaunay, CollinearStaysInCompleteFallback) {
 TEST(IncrementalDelaunay, NearCollinearMovesMatchOracle) {
   // Near-degenerate motion: points strung along a line with tiny lateral
   // offsets, sliding mostly lengthwise. Every triangle is a sliver, so the
-  // move certificate operates right at the predicate tolerance and any of
-  // the three outcomes (early-out, per-point repair, rebuild) can fire --
-  // correctness must come from oracle equality regardless. The in-sphere
+  // remove + reinsert of a move operates right at the predicate tolerance
+  // and may fail into a rebuild -- correctness must come from oracle
+  // equality regardless. The in-sphere
   // residuals are of offset magnitude, so the direct geometric check is
   // opted out exactly like the cocircular-grid test.
   for (int dim : {2, 3}) {
@@ -679,10 +646,9 @@ TEST(IncrementalDelaunay, NearCollinearMovesMatchOracle) {
 
 TEST(IncrementalDelaunay, RemoveAndReinsertJustMovedKey) {
   // A key that moves and is then removed (or removed and re-added) must not
-  // leave stale slot/index state behind. Exercised per-op and through a
-  // single apply_diff batch where the same key appears in moves, removes
-  // and inserts at once -- the batch's remove-before-insert ordering makes
-  // that legal, and the net effect must equal teleporting the key.
+  // leave stale slot/index state behind. Exercised per-op and through
+  // update(): a teleport in one diff (remove + reinsert of the same slot),
+  // then the same key dropped and re-added across two diffs.
   for (int dim : {2, 3}) {
     const int n = 24;
     const auto pts = random_points(n, dim, 9400u + static_cast<std::uint64_t>(dim));
@@ -709,70 +675,120 @@ TEST(IncrementalDelaunay, RemoveAndReinsertJustMovedKey) {
       shadow.emplace(k, q);
       expect_matches_oracle(dyn, shadow, dim, {}, "move-then-reinsert");
     }
+    const auto update = [&] {
+      return dyn.update(std::vector<std::pair<Key, Vec>>(shadow.begin(), shadow.end()));
+    };
     for (int round = 0; round < 6; ++round) {
       const Key k = rng.uniform_index(n);
-      Vec mid = shadow.at(k);
-      mid[0] += 0.02;
       Vec fin(dim);
       for (int c = 0; c < dim; ++c) fin[c] = rng.uniform(0.0, 1.0);
-      const Key rem[] = {k};
-      const std::pair<Key, Vec> ins[] = {{k, fin}};
-      const std::pair<Key, Vec> mov[] = {{k, mid}};
-      dyn.apply_diff(rem, ins, mov);
       shadow[k] = fin;
-      expect_matches_oracle(dyn, shadow, dim, {}, "diff/move+remove+insert");
+      EXPECT_TRUE(update());
+      expect_matches_oracle(dyn, shadow, dim, {}, "update/teleport");
+      shadow.erase(k);
+      EXPECT_TRUE(update());
+      expect_matches_oracle(dyn, shadow, dim, {}, "update/drop");
+      Vec back(dim);
+      for (int c = 0; c < dim; ++c) back[c] = rng.uniform(0.0, 1.0);
+      shadow.emplace(k, back);
+      EXPECT_TRUE(update());
+      expect_matches_oracle(dyn, shadow, dim, {}, "update/re-add");
     }
   }
 }
 
-TEST(IncrementalDelaunay, HullRidgeCertificateOnQuadHull) {
-  // Smallest triangulable 2D instance where every vertex is a hull vertex:
-  // a non-cocircular quad. A hull move that keeps the hull locally convex
-  // at both ridges incident to the vertex (and every in-sphere certificate)
-  // must take the early-out; dragging the same vertex inside the triangle
-  // of the other three breaks ridge convexity and must go through repair.
-  // Both paths land on the oracle.
-  DynamicDelaunay dyn(2);
-  std::map<Key, Vec> shadow;
-  const std::vector<std::pair<Key, Vec>> init = {
-      {0, Vec{0.0, 0.0}}, {1, Vec{2.0, 0.1}}, {2, Vec{2.2, 1.3}}, {3, Vec{-0.1, 1.0}}};
-  for (const auto& [k, p] : init) shadow.emplace(k, p);
-  dyn.assign(init);
-  ASSERT_TRUE(dyn.has_triangulation());
+TEST(IncrementalDelaunay, UpdateMatchesAssignOracle) {
+  // update() under the input sequences MdtOverlay::recompute produces: a
+  // core of long-lived points (physical neighbors) plus a fringe of
+  // candidates that comes and goes, positions nudged each adjustment
+  // period. After every update() the instance must equal a fresh assign()
+  // of the same set, for both kernels, in 2D and 3D.
+  const auto tied = [](const DynamicDtStats& s) {
+    return std::make_tuple(s.inserts, s.removes, s.moves, s.move_early_outs, s.full_rebuilds,
+                           s.walk_fallbacks);
+  };
+  for (const bool linear_scan : {false, true}) {
+    DelaunayOptions opts;
+    opts.force_linear_scan = linear_scan;
+    const char* kernel = linear_scan ? "linear" : "walk";
+    for (int dim : {2, 3}) {
+      for (std::uint64_t seed : {1u, 2u}) {
+        SCOPED_TRACE(::testing::Message() << kernel << " dim=" << dim << " seed=" << seed);
+        Rng rng(0xD1FFu * seed + static_cast<std::uint64_t>(dim));
+        DynamicDelaunay dyn(dim, opts);
+        std::map<Key, Vec> shadow;
+        const auto random_pos = [&] {
+          Vec p(dim);
+          for (int c = 0; c < dim; ++c) p[c] = rng.uniform(0.0, 1.0);
+          return p;
+        };
+        const auto nudge = [&](Key k) {
+          for (int c = 0; c < dim; ++c) shadow[k][c] += rng.uniform(-0.05, 0.05);
+        };
+        const auto update = [&](const char* where) {
+          const bool changed =
+              dyn.update(std::vector<std::pair<Key, Vec>>(shadow.begin(), shadow.end()));
+          expect_matches_oracle(dyn, shadow, dim, opts, where);
+          return changed;
+        };
+        const int core = 30;
+        for (Key k = 0; k < core; ++k) shadow.emplace(k, random_pos());
+        EXPECT_TRUE(update("initial"));
 
-  const Vec out{2.26, 1.34};  // slightly outward: hull stays convex
-  shadow[2] = out;
-  dyn.move(2, out);
-  const DynamicDtStats s1 = dyn.stats();
-  EXPECT_EQ(s1.moves, 1u);
-  EXPECT_EQ(s1.move_early_outs, 1u) << "convex hull nudge must certify in place";
-  expect_matches_oracle(dyn, shadow, 2, {}, "quad/convex-nudge");
+        // An unchanged set is no work at all.
+        const DynamicDtStats s0 = dyn.stats();
+        EXPECT_FALSE(update("unchanged"));
+        EXPECT_EQ(tied(dyn.stats()), tied(s0));
 
-  const Vec in{0.9, 0.45};  // inside triangle {0,1,3}: hull loses the vertex
-  shadow[2] = in;
-  dyn.move(2, in);
-  const DynamicDtStats s2 = dyn.stats();
-  EXPECT_EQ(s2.moves, 2u);
-  EXPECT_EQ(s2.move_early_outs, 1u) << "concave drag must not certify";
-  // Repairing a declined hull move means removing the hull vertex first, and
-  // on a minimum-size complex its link (two points) is below the
-  // triangulable floor -- the repair path here IS the full rebuild.
-  EXPECT_EQ(s2.full_rebuilds, 1u);
-  expect_matches_oracle(dyn, shadow, 2, {}, "quad/concave-drag");
+        // A -> B -> A: a fringe of candidates is learned, pruned, relearned.
+        std::vector<std::pair<Key, Vec>> fringe;
+        for (Key k = 100; k < 104; ++k) fringe.emplace_back(k, random_pos());
+        for (int round = 0; round < 3; ++round) {
+          shadow.insert(fringe.begin(), fringe.end());
+          EXPECT_TRUE(update("fringe learned"));
+          for (const auto& [k, p] : fringe) shadow.erase(k);
+          EXPECT_TRUE(update("fringe pruned"));
+        }
 
-  // Back out (through repair -- the star changed shape), then one more
-  // outward nudge, which certifies again once the hull is restored.
-  shadow[2] = out;
-  dyn.move(2, out);
-  expect_matches_oracle(dyn, shadow, 2, {}, "quad/restore");
-  const Vec out2{2.3, 1.38};
-  shadow[2] = out2;
-  dyn.move(2, out2);
-  const DynamicDtStats s3 = dyn.stats();
-  EXPECT_EQ(s3.moves, 4u);
-  EXPECT_GE(s3.move_early_outs, 2u) << "restored hull must certify small convex nudges";
-  expect_matches_oracle(dyn, shadow, 2, {}, "quad/convex-again");
-  EXPECT_EQ(s3.full_rebuilds, 1u) << "only the concave drag may rebuild";
+        // Sparse moves stay under the rebuild bar: per-point remove +
+        // reinsert, no rebuild.
+        for (int round = 0; round < 6; ++round) {
+          const DynamicDtStats before = dyn.stats();
+          nudge(rng.uniform_index(core));
+          EXPECT_TRUE(update("sparse moves"));
+          EXPECT_EQ(dyn.stats().moves, before.moves + 1);
+          EXPECT_EQ(dyn.stats().full_rebuilds, before.full_rebuilds);
+        }
+
+        // Mass moves pass the bar: the whole diff becomes one rebuild.
+        for (int round = 0; round < 3; ++round) {
+          const DynamicDtStats before = dyn.stats();
+          for (Key k = 0; k < core; ++k) nudge(k);
+          EXPECT_TRUE(update("mass moves"));
+          EXPECT_EQ(dyn.stats().moves, before.moves + static_cast<std::uint64_t>(core));
+          EXPECT_EQ(dyn.stats().full_rebuilds, before.full_rebuilds + 1);
+        }
+
+        // Shrink below dim+2 (complete-graph mode) and grow back.
+        while (static_cast<int>(shadow.size()) > dim) {
+          for (int i = 0; i < 7 && static_cast<int>(shadow.size()) > dim; ++i) {
+            auto it = shadow.begin();
+            std::advance(it, rng.uniform_index(static_cast<int>(shadow.size())));
+            shadow.erase(it);
+          }
+          EXPECT_TRUE(update("shrink"));
+        }
+        EXPECT_FALSE(dyn.has_triangulation());
+        for (Key k = 200; k < 220; ++k) {
+          shadow.emplace(k, random_pos());
+          if (k % 5 == 4) {
+            EXPECT_TRUE(update("grow"));
+          }
+        }
+        EXPECT_TRUE(dyn.has_triangulation());
+      }
+    }
+  }
 }
 
 TEST(IncrementalDelaunay, VertexSlotsAreReused) {

@@ -34,9 +34,7 @@ struct Fuzzer {
   // Every applied operation, in order -- the failure-reproduction transcript.
   std::vector<std::string> schedule;
 
-  explicit Fuzzer(std::uint64_t fuzz_seed,
-                  MdtConfig::DtMaintenance maint = MdtConfig::DtMaintenance::kIncremental)
-      : rng(fuzz_seed), seed(fuzz_seed) {
+  explicit Fuzzer(std::uint64_t fuzz_seed) : rng(fuzz_seed), seed(fuzz_seed) {
     radio::TopologyConfig tc;
     tc.n = 60;
     tc.seed = seed;
@@ -46,7 +44,6 @@ struct Fuzzer {
     MdtConfig mc;
     mc.dim = 2;
     mc.neighbor_stale_s = 12.0;
-    mc.dt_maintenance = maint;
     overlay = std::make_unique<MdtOverlay>(*net, mc);
     overlay->attach();
     for (int u = 0; u < topo.size(); ++u)
@@ -175,40 +172,6 @@ class MdtFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MdtFuzz, InvariantsHoldUnderRandomChurn) { run_fuzz(GetParam(), 4); }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MdtFuzz, ::testing::Values(11u, 22u, 33u, 44u));
-
-// The overlay-level oracle pin for incremental local-DT maintenance (the
-// same pattern as kAllPairs/kLinearScan in the topology pipeline): the same
-// fuzz schedule under kIncremental and kFullRebuild must yield identical
-// neighbor sets at every alive node after bootstrap and after every churn
-// round. The two runs can only stay in lockstep if every recompute agreed,
-// so a single divergent triangulation anywhere surfaces as a mismatch here.
-TEST(MdtFuzz, IncrementalMatchesFullRebuildOracle) {
-  for (std::uint64_t seed : {7u, 19u}) {
-    Fuzzer inc(seed, MdtConfig::DtMaintenance::kIncremental);
-    Fuzzer full(seed, MdtConfig::DtMaintenance::kFullRebuild);
-    const auto compare = [&](const char* phase) {
-      for (int u = 0; u < inc.topo.size(); ++u) {
-        ASSERT_EQ(inc.net->alive(u), full.net->alive(u))
-            << phase << " node " << u << " seed " << seed;
-        if (!inc.net->alive(u)) continue;
-        ASSERT_EQ(inc.overlay->dt_neighbors(u), full.overlay->dt_neighbors(u))
-            << phase << " node " << u << " seed " << seed;
-      }
-      const auto s = inc.overlay->dt_stats();
-      ASSERT_GT(s.inserts, 0u) << "incremental path never exercised";
-    };
-    compare("bootstrap");
-    for (int round = 0; round < 3; ++round) {
-      for (int op = 0; op < 8; ++op) {
-        inc.random_op();
-        full.random_op();
-      }
-      inc.maintenance();
-      full.maintenance();
-      compare("churn round");
-    }
-  }
-}
 
 // Directed reproduction / exploration: GDVR_FUZZ_SEED=<n> runs one longer
 // fuzz with that exact seed (the schedule is fully determined by it).

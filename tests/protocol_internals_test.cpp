@@ -251,10 +251,10 @@ struct GridNet {
 };
 
 TEST(ProtocolInternals, RecomputeMemoizationOnQuiescentNetwork) {
-  // recompute() memoizes on the multiset of (id, pos_version) inputs: once
-  // the network is quiescent every call's input is one the per-node cache has
-  // seen, so local DT rebuilds stop; moving a node invalidates exactly the
-  // caches whose input actually changed.
+  // recompute() hands its input -- the positions of {u} + P_u + C_u -- to
+  // the node's live DT, which only does work when the input changed: once
+  // the network is quiescent the inputs stop changing, so local DT updates
+  // stop; moving a node changes exactly the inputs that contain it.
   GridNet grid(3);
   grid.maintenance_rounds(8);  // settle: syncs re-teach candidates for a while
 
@@ -264,11 +264,11 @@ TEST(ProtocolInternals, RecomputeMemoizationOnQuiescentNetwork) {
   const std::uint64_t calls = mid.calls - before.calls;
   const std::uint64_t rebuilds = mid.rebuilds - before.rebuilds;
   ASSERT_GT(calls, 0u);
-  // Quiescent rounds must be (almost) all cache hits: >= 90%.
+  // Quiescent rounds must (almost) never change the input: <= 10%.
   EXPECT_LE(rebuilds * 10, calls) << rebuilds << " rebuilds in " << calls << " calls";
 
-  // An actual position change flows through as a new pos_version and forces
-  // real rebuilds again.
+  // An actual position change reaches the neighbors' inputs and forces real
+  // DT updates again.
   Vec moved = grid.topo.positions[4];
   moved[1] += 0.6;
   grid.overlay->set_position(4, moved, 0.1);
@@ -279,13 +279,12 @@ TEST(ProtocolInternals, RecomputeMemoizationOnQuiescentNetwork) {
 }
 
 TEST(ProtocolInternals, RecomputeSteadyStateOnRandomTopology) {
-  // The static-network counterpart of BM_MdtMaintenanceRound's hit-rate
-  // counter. Under live VPoD the rate sits in the low tens of percent because
-  // every adjustment tick moves positions and bumps pos_version -- a correct
-  // invalidation, not a cache defect. With positions frozen (no VPoD, overlay
-  // driven directly), maintenance rounds must be nearly all cache hits. A
-  // random radio topology rather than a hand-crafted grid: realistic degrees
-  // (~14) and general-position coordinates, like the benchmark's network.
+  // The static-network steady state. Under live VPoD most recomputes see a
+  // changed input, because every adjustment tick moves positions. With
+  // positions frozen (no VPoD, overlay driven directly), maintenance rounds
+  // must almost never change a node's input. A random radio topology rather
+  // than a hand-crafted grid: realistic degrees (~14) and general-position
+  // coordinates, like the benchmark's network.
   radio::TopologyConfig tc;
   tc.n = 60;
   tc.seed = 4242;
@@ -382,8 +381,8 @@ TEST(ProtocolInternals, StaleIncarnationMessageCannotMutateNewLife) {
 
 TEST(ProtocolInternals, SetPositionSameValueKeepsVersion) {
   // pos_version names the position *value*: re-announcing an identical
-  // position must not bump the version (and so must not thrash the
-  // neighbors' recompute caches).
+  // position must not bump the version, and leaves every neighbor's local
+  // DT input unchanged.
   Line line(4);
   line.start_sequential();
   const auto settle = [&] {
