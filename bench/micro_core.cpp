@@ -16,7 +16,6 @@
 #include "common.hpp"
 #include "common/rng.hpp"
 #include "geom/delaunay.hpp"
-#include "geom/dynamic_delaunay.hpp"
 #include "geom/predicates.hpp"
 #include "routing/distance_vector.hpp"
 #include "graph/csr.hpp"
@@ -92,77 +91,39 @@ BENCHMARK(BM_DelaunayLocate)
     ->Args({200, 3, 1})
     ->Args({200, 3, 0});
 
-// Incremental Bowyer-Watson maintenance: the per-operation cost the overlay
-// pays on a memo miss, to compare against BM_DelaunayGraph's
-// recompute-from-scratch at the same n/dim. Batches of 64 operations with
-// the restoring half of each cycle excluded via PauseTiming.
-geom::DynamicDelaunay incremental_fixture(int n, int dim) {
-  geom::DynamicDelaunay dyn(dim);
-  const auto pts = random_points(n, dim, 42);
-  std::vector<std::pair<geom::DynamicDelaunay::Key, Vec>> init;
-  for (int i = 0; i < n; ++i) init.emplace_back(i, pts[static_cast<std::size_t>(i)]);
-  dyn.assign(init);
-  return dyn;
-}
-
-void BM_IncrementalDelaunayInsert(benchmark::State& state) {
+// One node's N_u from its Delaunay star alone -- the computation
+// MdtOverlay::recompute runs when a node's input changed -- with the center
+// cycling through the set. Sizes match BM_DelaunayGraph (which triangulates
+// the whole set at once), plus n = 48 in 3-D, the end-to-end benchmark's
+// candidate-set size.
+void BM_LocalDelaunayStar(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int dim = static_cast<int>(state.range(1));
-  geom::DynamicDelaunay dyn = incremental_fixture(n, dim);
-  const auto fresh = random_points(64, dim, 77);
-  for (auto _ : state) {
-    for (int k = 0; k < 64; ++k)
-      dyn.insert(100000 + k, fresh[static_cast<std::size_t>(k)]);
-    state.PauseTiming();
-    for (int k = 0; k < 64; ++k) dyn.remove(100000 + k);
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.counters["full_rebuilds"] = static_cast<double>(dyn.stats().full_rebuilds);
-  state.SetLabel("n=" + std::to_string(n) + " dim=" + std::to_string(dim));
-}
-BENCHMARK(BM_IncrementalDelaunayInsert)->Args({100, 2})->Args({100, 3})->Args({200, 3});
-
-void BM_IncrementalDelaunayDelete(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int dim = static_cast<int>(state.range(1));
-  geom::DynamicDelaunay dyn = incremental_fixture(n, dim);
   const auto pts = random_points(n, dim, 42);
+  geom::Triangulation tri;
+  std::vector<int> nbrs;
+  int center = 0;
+  double degree = 0.0;
   for (auto _ : state) {
-    for (int k = 0; k < 64; ++k) dyn.remove(k);
-    state.PauseTiming();
-    for (int k = 0; k < 64; ++k) dyn.insert(k, pts[static_cast<std::size_t>(k)]);
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.counters["full_rebuilds"] = static_cast<double>(dyn.stats().full_rebuilds);
-  state.SetLabel("n=" + std::to_string(n) + " dim=" + std::to_string(dim));
-}
-BENCHMARK(BM_IncrementalDelaunayDelete)->Args({100, 2})->Args({100, 3})->Args({200, 3});
-
-void BM_IncrementalDelaunayMove(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int dim = static_cast<int>(state.range(1));
-  geom::DynamicDelaunay dyn = incremental_fixture(n, dim);
-  const auto pts = random_points(n, dim, 42);
-  // VPoD-adjustment-sized nudges, alternating out and back so positions stay
-  // bounded over any number of iterations (the return trip is also a move).
-  int key = 0;
-  bool out = true;
-  for (auto _ : state) {
-    for (int k = 0; k < 64; ++k) {
-      Vec p = pts[static_cast<std::size_t>(key)];
-      if (out) p[0] += 0.2;
-      dyn.move(key, p);
-      key = (key + 1) % n;
-      if (key == 0) out = !out;
+    if (!tri.star_neighbors(pts, center, nbrs)) {
+      state.SkipWithError("star computation failed");
+      return;
     }
+    benchmark::DoNotOptimize(nbrs.data());
+    degree += static_cast<double>(nbrs.size());
+    center = (center + 1) % n;
   }
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.counters["full_rebuilds"] = static_cast<double>(dyn.stats().full_rebuilds);
+  state.counters["mean_degree"] = degree / static_cast<double>(state.iterations());
   state.SetLabel("n=" + std::to_string(n) + " dim=" + std::to_string(dim));
 }
-BENCHMARK(BM_IncrementalDelaunayMove)->Args({100, 2})->Args({100, 3})->Args({200, 3});
+BENCHMARK(BM_LocalDelaunayStar)
+    ->Args({30, 2})
+    ->Args({30, 3})
+    ->Args({30, 4})
+    ->Args({48, 3})
+    ->Args({100, 2})
+    ->Args({100, 3})
+    ->Args({200, 3});
 
 // Distance Vector convergence with delta vs full-table triggered updates:
 // same topology, same schedule, the counter records the (dest, cost) entries

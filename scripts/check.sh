@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Full local gate: fast tier-1 tests first (plus the scenario-matrix smoke
-# subset), then the chaos suite, then an ASan/UBSan pass over the whole test
-# suite in separate build trees. The full protocol x scenario matrix
+# subset and the end-to-end benchmark's self-test), then the chaos suite,
+# then an ASan/UBSan pass over the whole test suite in separate build trees. The full protocol x scenario matrix
 # (ctest -L scenario) runs in --release.
 #
-#   scripts/check.sh            # tier-1 + scenario smoke + chaos + sanitizers
+#   scripts/check.sh            # tier-1 + scenario smoke + benchmark self-test
+#                               # + chaos + sanitizers
 #   scripts/check.sh --quick    # tier-1 + scenario smoke (CI on every push)
-#   scripts/check.sh --release  # tier-1 in a Release tree + benchmark compare
+#   scripts/check.sh --release  # tier-1 in a Release tree + benchmark
+#                               # self-test + benchmark compare
 #                               # against BENCH_core.json, so optimization-
 #                               # level-only bugs and perf regressions surface
 #                               # before perf work lands. Raise
@@ -51,6 +53,10 @@ if [[ "$RELEASE" == 1 ]]; then
   # message-count equality against the serial oracle (the GDVR_ASSERTs in
   # the sweep); the wall-clock columns surface gross engine regressions.
   ./build-rel/bench/fig15_16_scalability --engine-sweep --smoke
+  echo "== end-to-end benchmark self-test =="
+  # Builds perfbench/ against this checkout's src/ and runs every workload
+  # tiny, so a src/ change that breaks the benchmark fails here.
+  python3 perfbench/run.py --self-test
   echo "== benchmark compare vs BENCH_core.json (Release) =="
   # Full suite at the snapshot's min_time; fails on >GDVR_BENCH_TOLERANCE
   # real_time regressions against the committed baseline.
@@ -73,6 +79,9 @@ if [[ "$QUICK" == 1 ]]; then
   echo "quick mode: skipping chaos + sanitizer passes"
   exit 0
 fi
+
+echo "== end-to-end benchmark self-test =="
+python3 perfbench/run.py --self-test
 
 echo "== chaos suite (plain build) =="
 ctest --test-dir build -L chaos --output-on-failure

@@ -1,6 +1,8 @@
 #include "geom/delaunay.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/log.hpp"
 #include "geom/predicates.hpp"
@@ -129,23 +131,64 @@ int Triangulation::infinite_index(const Cell& c) const {
   return -1;
 }
 
-bool Triangulation::init_first_simplex(std::vector<int>& chosen) {
-  const int n = static_cast<int>(pts_.size());
+bool Triangulation::has_vertex(const Cell& c, int v) const {
+  for (int i = 0; i <= dim_; ++i)
+    if (c.v[static_cast<std::size_t>(i)] == v) return true;
+  return false;
+}
+
+bool Triangulation::init_complex() {
   const double diag = bbox_diagonal(pts_);
   const double tol = 1e-12 * diag;
-  chosen.clear();
-  chosen.push_back(0);
+  chosen_.clear();
+  chosen_.push_back(order_[0]);
   // Greedy affine-rank growth with Gram-Schmidt on difference vectors.
   std::vector<Vec> basis;
-  for (int i = 1; i < n && static_cast<int>(chosen.size()) < dim_ + 1; ++i) {
-    Vec r = pts_[static_cast<std::size_t>(i)] - pts_[static_cast<std::size_t>(chosen[0])];
+  for (std::size_t k = 1; k < order_.size() && static_cast<int>(chosen_.size()) < dim_ + 1; ++k) {
+    const int i = order_[k];
+    Vec r = pts_[static_cast<std::size_t>(i)] - pts_[static_cast<std::size_t>(chosen_[0])];
     for (const Vec& b : basis) r -= b * r.dot(b);
     if (r.norm() > tol) {
       basis.push_back(r.unit());
-      chosen.push_back(i);
+      chosen_.push_back(i);
     }
   }
-  return static_cast<int>(chosen.size()) == dim_ + 1;
+  if (static_cast<int>(chosen_.size()) != dim_ + 1) return false;
+
+  cells_.clear();
+  free_cells_.clear();
+  mark_.clear();
+  mark_epoch_ = 0;
+  // Initial complex: one finite cell plus one infinite cell per facet.
+  Cell fin;
+  fin.nbr.fill(-1);
+  for (int i = 0; i <= dim_; ++i)
+    fin.v[static_cast<std::size_t>(i)] = chosen_[static_cast<std::size_t>(i)];
+  if (!cache_circumsphere(fin)) return false;
+  cells_.push_back(fin);
+  for (int k = 0; k <= dim_; ++k) {
+    Cell inf;
+    inf.nbr.fill(-1);
+    int w = 0;
+    for (int i = 0; i <= dim_; ++i)
+      if (i != k) inf.v[static_cast<std::size_t>(w++)] = chosen_[static_cast<std::size_t>(i)];
+    inf.v[static_cast<std::size_t>(dim_)] = kInfinite;
+    cells_.push_back(inf);
+  }
+  // Wire adjacency by matching facets (sorted vertex tuples).
+  facets_.reset(dim_, cells_.size() * static_cast<std::size_t>(dim_ + 1));
+  for (int ci = 0; ci < static_cast<int>(cells_.size()); ++ci) {
+    for (int k = 0; k <= dim_; ++k) {
+      const FacetKey key = facet_key(cells_[static_cast<std::size_t>(ci)], k, dim_);
+      int cj = -1, kj = -1;
+      if (facets_.match_or_insert(key, ci, k, &cj, &kj)) {
+        cells_[static_cast<std::size_t>(ci)].nbr[static_cast<std::size_t>(k)] = cj;
+        cells_[static_cast<std::size_t>(cj)].nbr[static_cast<std::size_t>(kj)] = ci;
+      }
+    }
+  }
+  hint_ = 0;
+  return facets_.empty();
 }
 
 bool Triangulation::in_conflict(const Cell& c, const Vec& p) const {
@@ -316,76 +359,109 @@ bool Triangulation::build(std::span<const Vec> points) {
   for (std::size_t i = 0; i < pts_.size(); ++i)
     for (int c = 0; c < dim_; ++c) pts_[i][c] += mag * jitter_unit(jitter_seed_, i, c);
 
-  cells_.clear();
   // Live complex size is roughly linear in n (about 7n tetrahedra in 3D);
   // reserving avoids reallocation copies of the fat Cell structs mid-build.
   cells_.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(4 * dim_) + 64);
-  free_cells_.clear();
-  pt_alive_.assign(static_cast<std::size_t>(n), 1);
-  point_free_.clear();
-  live_points_ = n;
-  v_cell_.assign(static_cast<std::size_t>(n), -1);
-  mark_.clear();
-  mark_epoch_ = 0;
-  hint_ = -1;
-  std::vector<int> chosen;
-  if (!init_first_simplex(chosen)) return false;
+  order_.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) order_[static_cast<std::size_t>(i)] = i;
+  if (!init_complex()) return false;
 
-  // Initial complex: one finite cell plus one infinite cell per facet.
-  {
-    Cell fin;
-    fin.nbr.fill(-1);
-    for (int i = 0; i <= dim_; ++i) fin.v[static_cast<std::size_t>(i)] = chosen[static_cast<std::size_t>(i)];
-    if (!cache_circumsphere(fin)) return false;
-    cells_.push_back(fin);
-    for (int k = 0; k <= dim_; ++k) {
-      Cell inf;
-      inf.nbr.fill(-1);
-      int w = 0;
-      for (int i = 0; i <= dim_; ++i)
-        if (i != k) inf.v[static_cast<std::size_t>(w++)] = chosen[static_cast<std::size_t>(i)];
-      inf.v[static_cast<std::size_t>(dim_)] = kInfinite;
-      cells_.push_back(inf);
-    }
-    // Wire adjacency by matching facets (sorted vertex tuples).
-    facets_.reset(dim_, cells_.size() * static_cast<std::size_t>(dim_ + 1));
-    for (int ci = 0; ci < static_cast<int>(cells_.size()); ++ci) {
-      for (int k = 0; k <= dim_; ++k) {
-        const FacetKey key = facet_key(cells_[static_cast<std::size_t>(ci)], k, dim_);
-        int cj = -1, kj = -1;
-        if (facets_.match_or_insert(key, ci, k, &cj, &kj)) {
-          cells_[static_cast<std::size_t>(ci)].nbr[static_cast<std::size_t>(k)] = cj;
-          cells_[static_cast<std::size_t>(cj)].nbr[static_cast<std::size_t>(kj)] = ci;
-        }
-      }
-    }
-    if (!facets_.empty()) return false;
-    for (int ci = 0; ci < static_cast<int>(cells_.size()); ++ci)
-      for (int i = 0; i <= dim_; ++i) {
-        const int w = cells_[static_cast<std::size_t>(ci)].v[static_cast<std::size_t>(i)];
-        if (w != kInfinite) v_cell_[static_cast<std::size_t>(w)] = ci;
-      }
-  }
-  hint_ = 0;
-
-  // Insert the remaining points.
-  std::vector<char> is_chosen(static_cast<std::size_t>(n), 0);
-  for (int c : chosen) is_chosen[static_cast<std::size_t>(c)] = 1;
+  // Insert the remaining points in index order.
   for (int p = 0; p < n; ++p) {
-    if (is_chosen[static_cast<std::size_t>(p)]) continue;
-    if (!insert(p)) return false;
+    if (std::find(chosen_.begin(), chosen_.end(), p) != chosen_.end()) continue;
+    if (!insert(p, locate_conflict(pts_[static_cast<std::size_t>(p)]))) return false;
   }
   return true;
 }
 
-bool Triangulation::insert(int p) {
+bool Triangulation::star_neighbors(std::span<const Vec> points, int center, std::vector<int>& out) {
+  // Shares build()'s site name: the profile report merges the two, so the
+  // geom.delaunay_build row counts every local-DT computation.
+  GDVR_PROFILE_SCOPE("geom.delaunay_build");
+  out.clear();
+  GDVR_ASSERT(!points.empty());
+  dim_ = points[0].dim();
+  GDVR_ASSERT(dim_ >= 2 && dim_ <= 12);
+  const int n = static_cast<int>(points.size());
+  GDVR_ASSERT(center >= 0 && center < n);
+  if (n < dim_ + 1) return false;
+
+  // Visit order: the center, then the rest by (distance to it, index).
+  pts_.assign(points.begin(), points.end());
+  const Vec& c = pts_[static_cast<std::size_t>(center)];
+  dist2_.resize(static_cast<std::size_t>(n));
+  order_.clear();
+  order_.push_back(center);
+  for (int i = 0; i < n; ++i) {
+    dist2_[static_cast<std::size_t>(i)] = pts_[static_cast<std::size_t>(i)].distance2(c);
+    if (i != center) order_.push_back(i);
+  }
+  std::sort(order_.begin() + 1, order_.end(), [this](int a, int b) {
+    const double da = dist2_[static_cast<std::size_t>(a)], db = dist2_[static_cast<std::size_t>(b)];
+    return da < db || (da == db && a < b);
+  });
+  if (!init_complex()) return false;
+
+  star_.clear();
+  for (int ci = 0; ci < static_cast<int>(cells_.size()); ++ci)
+    if (has_vertex(cells_[static_cast<std::size_t>(ci)], center)) star_.push_back(ci);
+  // Squared distance from the center past which no point can conflict with
+  // a star cell: infinite while the star has an infinite cell (the center is
+  // on the hull, whose outside is unbounded), else the largest R + |c - o|
+  // over star cells with circumcenter o and radius R -- a point farther than
+  // that lies outside every circumsphere by the triangle inequality, and so
+  // does every later point, being no closer. The relative slack absorbs
+  // rounding in the distances.
+  double reach2 = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 1; k < order_.size(); ++k) {
+    const int p = order_[k];
+    if (dist2_[static_cast<std::size_t>(p)] > reach2) break;
+    if (std::find(chosen_.begin(), chosen_.end(), p) != chosen_.end()) continue;
+    const Vec& q = pts_[static_cast<std::size_t>(p)];
+    int seed = -1;
+    for (int ci : star_)
+      if (in_conflict(cells_[static_cast<std::size_t>(ci)], q)) {
+        seed = ci;
+        break;
+      }
+    if (seed < 0) continue;  // outside the star: inserting p would not change it
+    if (!insert(p, seed)) return false;
+    // The insert killed exactly the conflicting star cells; the center's new
+    // cells are the created ones on its side of the cavity boundary.
+    std::erase_if(star_, [this](int ci) { return !cells_[static_cast<std::size_t>(ci)].alive; });
+    for (int ci : created_)
+      if (has_vertex(cells_[static_cast<std::size_t>(ci)], center)) star_.push_back(ci);
+    double reach = 0.0;
+    for (int ci : star_) {
+      const Cell& sc = cells_[static_cast<std::size_t>(ci)];
+      if (infinite_index(sc) >= 0) {
+        reach = std::numeric_limits<double>::infinity();
+        break;
+      }
+      reach = std::max(reach, std::sqrt(sc.radius2) + sc.center.distance(c));
+    }
+    reach *= 1.0 + 1e-9;
+    reach2 = reach * reach;
+  }
+
+  for (int ci : star_) {
+    const Cell& sc = cells_[static_cast<std::size_t>(ci)];
+    for (int i = 0; i <= dim_; ++i) {
+      const int w = sc.v[static_cast<std::size_t>(i)];
+      if (w != center && w != kInfinite) out.push_back(w);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return true;
+}
+
+bool Triangulation::insert(int p, int seed) {
   const Vec& q = pts_[static_cast<std::size_t>(p)];
 
-  // Conflict region: one seed cell from the walk (or the exhaustive scan),
-  // then a BFS flood over cell adjacency -- the conflict region of a point
-  // is connected, so the flood collects all of it. Marks, queue and created
-  // list are scratch reused across inserts.
-  const int seed = locate_conflict(q);
+  // Conflict region: the seed cell, then a BFS flood over cell adjacency --
+  // the conflict region of a point is connected, so the flood collects all
+  // of it. Marks, queue and created list are scratch reused across inserts.
   if (seed < 0) return false;
   if (mark_.size() < cells_.size()) mark_.resize(cells_.size(), 0);
   ++mark_epoch_;
@@ -470,219 +546,8 @@ bool Triangulation::insert(int p) {
     cells_[static_cast<std::size_t>(ci)].alive = false;
     free_cells_.push_back(ci);
   }
-  // Refresh incident-cell hints: every vertex of a destroyed cell lies on
-  // the cavity boundary and therefore reappears in a created cell, so this
-  // pass leaves no live vertex pointing at a dead cell.
-  for (int ci : created_)
-    for (int i = 0; i <= dim_; ++i) {
-      const int w = cells_[static_cast<std::size_t>(ci)].v[static_cast<std::size_t>(i)];
-      if (w != kInfinite) v_cell_[static_cast<std::size_t>(w)] = ci;
-    }
   hint_ = created_.back();
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Incremental maintenance
-
-bool Triangulation::collect_star(int v) {
-  const auto has_v = [&](int ci) {
-    const Cell& c = cells_[static_cast<std::size_t>(ci)];
-    for (int i = 0; i <= dim_; ++i)
-      if (c.v[static_cast<std::size_t>(i)] == v) return true;
-    return false;
-  };
-  int c0 = v < static_cast<int>(v_cell_.size()) ? v_cell_[static_cast<std::size_t>(v)] : -1;
-  if (c0 < 0 || c0 >= static_cast<int>(cells_.size()) ||
-      !cells_[static_cast<std::size_t>(c0)].alive || !has_v(c0)) {
-    c0 = -1;  // stale hint: fall back to a scan (rare; insert/remove refresh hints)
-    for (std::size_t ci = 0; ci < cells_.size(); ++ci)
-      if (cells_[ci].alive && has_v(static_cast<int>(ci))) {
-        c0 = static_cast<int>(ci);
-        break;
-      }
-    if (c0 < 0) return false;
-    v_cell_[static_cast<std::size_t>(v)] = c0;
-  }
-  if (mark_.size() < cells_.size()) mark_.resize(cells_.size(), 0);
-  ++mark_epoch_;
-  star_.clear();
-  star_.push_back(c0);
-  mark_[static_cast<std::size_t>(c0)] = mark_epoch_;
-  // Flood across the facets that contain v: the cell on the other side of
-  // such a facet also contains v, and the star is facet-connected.
-  for (std::size_t i = 0; i < star_.size(); ++i) {
-    const Cell& c = cells_[static_cast<std::size_t>(star_[i])];
-    int iv = -1;
-    for (int k = 0; k <= dim_; ++k)
-      if (c.v[static_cast<std::size_t>(k)] == v) iv = k;
-    if (iv < 0) return false;
-    for (int k = 0; k <= dim_; ++k) {
-      if (k == iv) continue;
-      const int nb = c.nbr[static_cast<std::size_t>(k)];
-      if (nb < 0) return false;
-      if (mark_[static_cast<std::size_t>(nb)] == mark_epoch_) continue;
-      if (!cells_[static_cast<std::size_t>(nb)].alive || !has_v(nb)) return false;
-      mark_[static_cast<std::size_t>(nb)] = mark_epoch_;
-      star_.push_back(nb);
-    }
-  }
-  return true;
-}
-
-bool Triangulation::vertex_neighbors(int v, std::vector<int>& out) {
-  out.clear();
-  if (!point_alive(v) || !collect_star(v)) return false;
-  for (int ci : star_) {
-    const Cell& c = cells_[static_cast<std::size_t>(ci)];
-    for (int i = 0; i <= dim_; ++i) {
-      const int w = c.v[static_cast<std::size_t>(i)];
-      if (w != v && w != kInfinite) out.push_back(w);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return true;
-}
-
-int Triangulation::insert_point(const Vec& p) {
-  GDVR_ASSERT(p.dim() == dim_);
-  int idx;
-  if (!point_free_.empty()) {
-    idx = point_free_.back();
-    point_free_.pop_back();
-    pts_[static_cast<std::size_t>(idx)] = p;
-    pt_alive_[static_cast<std::size_t>(idx)] = 1;
-  } else {
-    idx = static_cast<int>(pts_.size());
-    pts_.push_back(p);
-    pt_alive_.push_back(1);
-    v_cell_.push_back(-1);
-  }
-  ++live_points_;
-  return insert(idx) ? idx : -1;
-}
-
-bool Triangulation::remove_point(int v) {
-  GDVR_PROFILE_SCOPE("geom.delaunay_remove");
-  if (!point_alive(v) || !collect_star(v)) return false;
-  const Vec q = pts_[static_cast<std::size_t>(v)];
-
-  // The link of v: every finite vertex of a star cell other than v.
-  link_.clear();
-  for (int ci : star_) {
-    const Cell& c = cells_[static_cast<std::size_t>(ci)];
-    for (int i = 0; i <= dim_; ++i) {
-      const int w = c.v[static_cast<std::size_t>(i)];
-      if (w != v && w != kInfinite) link_.push_back(w);
-    }
-  }
-  std::sort(link_.begin(), link_.end());
-  link_.erase(std::unique(link_.begin(), link_.end()), link_.end());
-  if (static_cast<int>(link_.size()) < dim_ + 1) return false;
-
-  // Triangulate the link from scratch (a handful of points -- the degree of
-  // v). The coordinates are the already-jittered global ones, so the scratch
-  // complex's predicates agree bit-for-bit with ours and its circumspheres
-  // can be copied verbatim.
-  if (!cavity_tri_) cavity_tri_ = std::make_unique<Triangulation>();
-  Triangulation& lt = *cavity_tri_;
-  lt.set_jitter(0.0, 0);
-  lt.set_locate_mode(locate_mode_);
-  link_pts_.clear();
-  for (int w : link_) link_pts_.push_back(pts_[static_cast<std::size_t>(w)]);
-  if (!lt.build(link_pts_)) return false;
-
-  // Bowyer-Watson duality: deleting v is undoing its insertion into DT(link),
-  // so the cavity is filled by exactly the link-DT cells whose circumsphere /
-  // hull-visibility region contains v. Infinite link-DT cells supply the new
-  // hull facets when v was on the hull.
-  sel_.clear();
-  for (std::size_t ci = 0; ci < lt.cells_.size(); ++ci)
-    if (lt.cells_[ci].alive && lt.in_conflict(lt.cells_[ci], q)) sel_.push_back(static_cast<int>(ci));
-  if (sel_.empty()) return false;
-
-  // Register the cavity's boundary facets: for each star cell, the facet
-  // opposite v, keyed by global vertex ids and carrying the OUTSIDE cell and
-  // its facet index back into the cavity. The filling pass below matches
-  // them and rewires the outside pointers; a consistent fill leaves the
-  // table empty.
-  facets_.reset(dim_, star_.size() + sel_.size() * static_cast<std::size_t>(dim_ + 1));
-  for (int ci : star_) {
-    const Cell& c = cells_[static_cast<std::size_t>(ci)];
-    int iv = -1;
-    for (int k = 0; k <= dim_; ++k)
-      if (c.v[static_cast<std::size_t>(k)] == v) iv = k;
-    const int nb = c.nbr[static_cast<std::size_t>(iv)];
-    if (nb < 0 || mark_[static_cast<std::size_t>(nb)] == mark_epoch_) return false;
-    int j = -1;
-    const Cell& out = cells_[static_cast<std::size_t>(nb)];
-    for (int k = 0; k <= dim_; ++k)
-      if (out.nbr[static_cast<std::size_t>(k)] == ci) j = k;
-    if (j < 0) return false;
-    const FacetKey key = facet_key(c, iv, dim_);
-    int oc = -1, of = -1;
-    if (facets_.match_or_insert(key, nb, j, &oc, &of)) return false;  // duplicate boundary facet
-  }
-
-  // Create the filling cells (vertices mapped scratch -> global) and wire
-  // all adjacency -- fill-to-fill ridges and fill-to-boundary -- through the
-  // facet table.
-  created_.clear();
-  for (int si : sel_) {
-    const int id = alloc_cell();
-    Cell& fresh = cells_[static_cast<std::size_t>(id)];
-    const Cell& sc = lt.cells_[static_cast<std::size_t>(si)];
-    fresh.nbr.fill(-1);
-    fresh.alive = true;
-    for (int i = 0; i <= dim_; ++i) {
-      const int w = sc.v[static_cast<std::size_t>(i)];
-      fresh.v[static_cast<std::size_t>(i)] =
-          w == kInfinite ? kInfinite : link_[static_cast<std::size_t>(w)];
-    }
-    fresh.center = sc.center;
-    fresh.radius2 = sc.radius2;
-    created_.push_back(id);
-  }
-  for (int ci : created_) {
-    for (int k = 0; k <= dim_; ++k) {
-      const FacetKey key = facet_key(cells_[static_cast<std::size_t>(ci)], k, dim_);
-      int oc = -1, of = -1;
-      if (facets_.match_or_insert(key, ci, k, &oc, &of)) {
-        cells_[static_cast<std::size_t>(ci)].nbr[static_cast<std::size_t>(k)] = oc;
-        cells_[static_cast<std::size_t>(oc)].nbr[static_cast<std::size_t>(of)] = ci;
-      }
-    }
-  }
-  if (!facets_.empty()) return false;  // fill does not close the cavity: poisoned
-
-  for (int ci : star_) {
-    cells_[static_cast<std::size_t>(ci)].alive = false;
-    free_cells_.push_back(ci);
-  }
-  pt_alive_[static_cast<std::size_t>(v)] = 0;
-  point_free_.push_back(v);
-  --live_points_;
-  for (int ci : created_)
-    for (int i = 0; i <= dim_; ++i) {
-      const int w = cells_[static_cast<std::size_t>(ci)].v[static_cast<std::size_t>(i)];
-      if (w != kInfinite) v_cell_[static_cast<std::size_t>(w)] = ci;
-    }
-  hint_ = created_.back();
-  return true;
-}
-
-bool Triangulation::move_point(int v, const Vec& p) {
-  GDVR_PROFILE_SCOPE("geom.delaunay_move");
-  // Remove, then reinsert the same vertex slot at the new position (the slot
-  // just freed is by construction the back of the free list).
-  if (!remove_point(v)) return false;
-  GDVR_ASSERT(!point_free_.empty() && point_free_.back() == v);
-  point_free_.pop_back();
-  pt_alive_[static_cast<std::size_t>(v)] = 1;
-  ++live_points_;
-  pts_[static_cast<std::size_t>(v)] = p;
-  return insert(v);
 }
 
 std::vector<std::pair<int, int>> Triangulation::finite_edges() const {
@@ -722,11 +587,7 @@ bool Triangulation::empty_circumsphere_property(double tol) const {
       verts[static_cast<std::size_t>(i)] =
           pts_[static_cast<std::size_t>(c.v[static_cast<std::size_t>(i)])];
     for (std::size_t pi = 0; pi < pts_.size(); ++pi) {
-      if (pi < pt_alive_.size() && pt_alive_[pi] == 0) continue;  // removed slot
-      bool is_vertex = false;
-      for (int i = 0; i <= dim_; ++i)
-        if (c.v[static_cast<std::size_t>(i)] == static_cast<int>(pi)) is_vertex = true;
-      if (is_vertex) continue;
+      if (has_vertex(c, static_cast<int>(pi))) continue;
       if (in_sphere({verts.data(), static_cast<std::size_t>(dim_ + 1)}, pts_[pi]) > tol)
         return false;
     }

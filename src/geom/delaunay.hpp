@@ -1,9 +1,10 @@
-// Incremental Delaunay triangulation in arbitrary dimension (2 <= d <= 8).
+// Incremental Delaunay triangulation in arbitrary dimension (2 <= d <= 12).
 //
 // This is the geometric engine under both MDT (multi-hop Delaunay
 // triangulation) and VPoD: every node repeatedly computes the Delaunay
-// neighbors of its own (virtual) position within a small candidate set, and
-// the centralized baselines / test oracles triangulate whole networks.
+// neighbors of its own (virtual) position within a small candidate set
+// (star_neighbors(), which triangulates only that node's star), and the
+// centralized baselines / test oracles triangulate whole networks (build()).
 //
 // Algorithm: Bowyer-Watson insertion with a single symbolic infinite vertex
 // (the CGAL convention). A cell is either finite (d+1 real vertices) or
@@ -21,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -97,47 +97,27 @@ class Triangulation {
 
   int dim() const { return dim_; }
   const std::vector<Cell>& cells() const { return cells_; }
-  const std::vector<Vec>& jittered_points() const { return pts_; }
 
   // Collect the finite-finite edge set (u < v, deduplicated).
   std::vector<std::pair<int, int>> finite_edges() const;
 
-  // --- incremental maintenance (requires a successfully built complex) -----
-  // The incremental API mutates a live complex in O(affected cells). Every
-  // operation either succeeds and leaves a valid Delaunay complex, or fails
-  // and leaves the complex POISONED: the caller must rebuild from scratch
-  // (DynamicDelaunay does exactly that and counts the fallback).
+  // Sorted indices of points[center]'s neighbors in the Delaunay
+  // triangulation of `points`, computed from center's star alone. The caller
+  // supplies already-jittered coordinates -- no jitter is added here. The
+  // other points are visited by (distance to center, index); after a seed
+  // simplex through center, a point is inserted only if it conflicts with a
+  // cell of center's current star, and the visit stops at the first point
+  // beyond every star cell's circumsphere once the star is closed (has no
+  // infinite cell). Exact, not an approximation: a point outside every star
+  // cell never changes the star when inserted, and the region where a new
+  // point would join the star only shrinks as points are added, so every
+  // skipped point stays irrelevant. Returns false when the input is
+  // degenerate or an insertion failed (caller should retry or fall back).
+  bool star_neighbors(std::span<const Vec> points, int center, std::vector<int>& out);
 
-  // Inserts `p` as a new vertex. The caller supplies already-jittered
-  // coordinates -- no jitter is added here. Returns the new vertex index
-  // (tombstoned slots are reused) or -1 on failure.
-  int insert_point(const Vec& p);
-
-  // Removes vertex v by re-triangulating the cavity left by its star: the
-  // filling cells are the cells of the Delaunay triangulation of v's link
-  // that are in conflict with v's position (the Bowyer-Watson duality --
-  // deleting v undoes inserting it). Returns false on failure (degenerate
-  // link, inconsistent cavity).
-  bool remove_point(int v);
-
-  // Moves vertex v to `p` (already jittered): remove_point, then reinsertion
-  // at the same vertex slot, so callers' index maps stay valid. Returns
-  // false on failure (the complex is then poisoned, as above).
-  bool move_point(int v, const Vec& p);
-
-  // Sorted finite Delaunay neighbors of vertex v, via a BFS over v's star.
-  // Returns false if v's star cannot be collected (inconsistent complex).
-  bool vertex_neighbors(int v, std::vector<int>& out);
-
-  bool point_alive(int v) const {
-    return v >= 0 && v < static_cast<int>(pt_alive_.size()) &&
-           pt_alive_[static_cast<std::size_t>(v)] != 0;
-  }
-  int live_points() const { return live_points_; }
-
-  // Validation helper for tests: true iff no jittered input point lies
-  // strictly inside the circumsphere of any alive finite cell (tolerance is
-  // absolute on the predicate value).
+  // Validation helper for tests, after build(): true iff no jittered input
+  // point lies strictly inside the circumsphere of any alive finite cell
+  // (tolerance is absolute on the predicate value).
   bool empty_circumsphere_property(double tol = 1e-9) const;
 
   void set_jitter(double rel, std::uint64_t seed) {
@@ -175,15 +155,16 @@ class Triangulation {
     int dim_ = 0;
   };
 
-  bool init_first_simplex(std::vector<int>& chosen);
-  bool insert(int p);
-  // Star of v (every alive cell with v as a vertex) via BFS across the
-  // facets containing v, seeded from the v_cell_ hint; fills star_. False if
-  // no alive cell contains v or the adjacency is inconsistent.
-  bool collect_star(int v);
+  // Builds the first simplex from the first dim+1 affinely independent
+  // points of order_ (order_[0] always among them, recorded in chosen_) plus
+  // one infinite cell per facet, over the coordinates already in pts_.
+  bool init_complex();
+  // Bowyer-Watson insertion of vertex p, given one cell in conflict with it.
+  bool insert(int p, int seed);
   bool in_conflict(const Cell& c, const Vec& p) const;
   bool cache_circumsphere(Cell& c);
   int infinite_index(const Cell& c) const;
+  bool has_vertex(const Cell& c, int v) const;
   // Visibility walk from the hint cell; -1 directs the caller to fall back.
   int locate_walk(const Vec& q);
   int locate_linear(const Vec& q) const;
@@ -199,15 +180,6 @@ class Triangulation {
   LocateMode locate_mode_ = LocateMode::kWalk;
   std::vector<Vec> pts_;
   std::vector<Cell> cells_;
-  // Liveness mask + free slots for vertices, so remove/insert cycles reuse
-  // point storage instead of growing pts_ monotonically.
-  std::vector<char> pt_alive_;
-  std::vector<int> point_free_;
-  int live_points_ = 0;
-  // Per-vertex incident-cell hint: one alive cell containing the vertex,
-  // refreshed whenever cells are created. collect_star() verifies it and
-  // falls back to a linear scan when stale.
-  std::vector<int> v_cell_;
   // Tombstoned cell slots available for reuse, so cells_ stays proportional
   // to the live complex instead of growing monotonically with inserts.
   std::vector<int> free_cells_;
@@ -223,14 +195,13 @@ class Triangulation {
   std::vector<int> conflict_;
   std::vector<int> created_;
   FacetTable facets_;
-  // Scratch for the incremental operations (star cells, link vertex ids and
-  // coordinates, selected filling cells) plus the scratch triangulation of a
-  // removed vertex's link.
+  // Insertion order and first-simplex vertices of the current build; for
+  // star_neighbors() also the squared distances to the center and the
+  // center's current star.
+  std::vector<int> order_;
+  std::vector<int> chosen_;
+  std::vector<double> dist2_;
   std::vector<int> star_;
-  std::vector<int> link_;
-  std::vector<Vec> link_pts_;
-  std::vector<int> sel_;
-  std::unique_ptr<Triangulation> cavity_tri_;
 };
 
 }  // namespace gdvr::geom

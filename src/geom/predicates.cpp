@@ -82,7 +82,7 @@ double orient(std::span<const Vec> points) {
 
 double in_sphere(std::span<const Vec> points, const Vec& q) {
   const int dim = q.dim();
-  GDVR_ASSERT(static_cast<int>(points.size()) == dim + 1 && dim + 1 < kMaxN);
+  GDVR_ASSERT(static_cast<int>(points.size()) == dim + 1 && dim + 1 <= kMaxN);
   // Lifted-paraboloid determinant with rows (p_i - q, |p_i - q|^2). For a
   // positively oriented simplex the determinant is positive iff q is strictly
   // inside the circumsphere; multiply by the orientation sign so callers get

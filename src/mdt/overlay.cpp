@@ -100,10 +100,10 @@ void MdtOverlay::start_join(NodeId u) {
 void MdtOverlay::deactivate(NodeId u) {
   net_.set_alive(u, false);
   const std::uint64_t pos_version = st(u).pos_version;
-  if (st(u).dyn) {
-    // Fold the dying instance's maintenance counters into the per-node
-    // retired accumulator so dt_stats() stays monotone across churn.
-    const geom::DynamicDtStats d = st(u).dyn->stats();
+  {
+    // Fold the dying local DT's counters into the per-node retired
+    // accumulator so dt_stats() stays monotone across churn.
+    const geom::DynamicDtStats& d = st(u).local_dt.stats();
     geom::DynamicDtStats& r = dt_retired_[static_cast<std::size_t>(u)];
     r.inserts += d.inserts;
     r.removes += d.removes;
@@ -129,8 +129,7 @@ geom::DynamicDtStats MdtOverlay::dt_stats() const {
     total.walk_fallbacks += d.walk_fallbacks;
   };
   for (const geom::DynamicDtStats& d : dt_retired_) add(d);
-  for (const NodeState& s : states_)
-    if (s.dyn) add(s.dyn->stats());
+  for (const NodeState& s : states_) add(s.local_dt.stats());
   return total;
 }
 
@@ -975,20 +974,17 @@ void MdtOverlay::recompute(NodeId u) {
   refresh_phys(u);
   ++rec_at(u).calls;
 
-  // Local DT of {u} + P_u + C_u; N_u = u's neighbors in it. The live DT
-  // diffs the key-sorted input against the set it holds, so an unchanged
-  // input costs no triangulation work and a changed one only the diff.
-  std::vector<std::pair<geom::DynamicDelaunay::Key, Vec>> in;
+  // Local DT of {u} + P_u + C_u; N_u = u's neighbors in it, recomputed from
+  // u's Delaunay star only when the key-sorted input differs from the last.
+  std::vector<std::pair<geom::LocalDelaunay::Key, Vec>> in;
   in.reserve(1 + s.phys.size() + s.cand.size());
   in.emplace_back(u, s.pos);
   for (const auto& [id, info] : s.phys) in.emplace_back(id, info.pos);
   for (const auto& [id, c] : s.cand)
     if (!s.phys.count(id)) in.emplace_back(id, c.pos);
   std::sort(in.begin(), in.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (!s.dyn) s.dyn = std::make_unique<geom::DynamicDelaunay>(s.pos.dim());
-  if (s.dyn->update(in)) ++rec_at(u).rebuilds;
-  const std::vector<geom::DynamicDelaunay::Key> nbrs = s.dyn->neighbors(u);
-  s.dt_nbrs.assign(nbrs.begin(), nbrs.end());
+  if (s.local_dt.update(u, in)) ++rec_at(u).rebuilds;
+  s.dt_nbrs.assign(s.local_dt.neighbors().begin(), s.local_dt.neighbors().end());
 
   // Candidate pruning (soft state): keep DT neighbors, physical neighbors,
   // nodes with an exchange in flight, and freshly learned nodes that have

@@ -21,13 +21,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "geom/dynamic_delaunay.hpp"
+#include "geom/local_delaunay.hpp"
 #include "mdt/failure_detector.hpp"
 #include "mdt/messages.hpp"
 #include "sim/netsim.hpp"
@@ -181,8 +180,8 @@ class MdtOverlay {
 
   // Local-DT counters: `calls` counts recompute() invocations on live
   // nodes, `rebuilds` the subset whose input -- the positions of {u} + P_u +
-  // C_u -- changed since the node's previous recompute, so the live DT had
-  // to be updated. On a converged, churn-free network rebuilds/calls
+  // C_u -- changed since the node's previous recompute, so N_u had to be
+  // recomputed. On a converged, churn-free network rebuilds/calls
   // approaches 0: maintenance rounds become near-zero triangulation work.
   struct RecomputeStats {
     std::uint64_t calls = 0;
@@ -197,8 +196,8 @@ class MdtOverlay {
     return total;
   }
 
-  // Incremental-maintenance counters summed over every node's live DT
-  // instance plus instances retired by deactivation. Exported as mdt.dt.*.
+  // Local-DT counters summed over every node, including the ones retired
+  // by deactivation. Exported as mdt.dt.*.
   geom::DynamicDtStats dt_stats() const;
 
   // Failure-detector / incarnation-reconciliation counters.
@@ -270,11 +269,11 @@ class MdtOverlay {
     std::map<std::pair<NodeId, NodeId>, RelayEntry> relay;
     std::map<NodeId, PendingSync> pending;
     std::vector<NodeId> prev_round_dt;    // N_u at the previous maintenance round
-    // The local DT over {u} + P_u + C_u: it owns the point set it was last
-    // given, so each recompute applies only the diff. Reset with the rest of
-    // the NodeState on deactivation (counters are folded into dt_retired_
-    // first).
-    std::unique_ptr<geom::DynamicDelaunay> dyn;
+    // The local DT over {u} + P_u + C_u: the last input and its N_u, so a
+    // recompute on an unchanged input does no geometry. Reset with the rest
+    // of the NodeState on deactivation (counters are folded into
+    // dt_retired_ first).
+    geom::LocalDelaunay local_dt;
     bool resync_scheduled = false;
     bool recompute_scheduled = false;
     sim::Time last_join_attempt = -1e18;  // rate limit for join retries

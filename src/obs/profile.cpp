@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <iomanip>
 #include <vector>
 
@@ -53,7 +54,21 @@ void write_profile_report(std::ostream& os) {
     if (calls == 0) continue;
     rows.push_back({s->name, calls, s->total_ns.load(std::memory_order_relaxed)});
   }
+  // Sites sharing a name report as one row: a scope in a template has one
+  // site per instantiation, and separate scopes may time one kernel.
   std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return std::strcmp(a.name, b.name) < 0; });
+  std::size_t merged = 0;
+  for (const Row& r : rows) {
+    if (merged > 0 && std::strcmp(rows[merged - 1].name, r.name) == 0) {
+      rows[merged - 1].calls += r.calls;
+      rows[merged - 1].total_ns += r.total_ns;
+    } else {
+      rows[merged++] = r;
+    }
+  }
+  rows.resize(merged);
+  std::stable_sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.total_ns > b.total_ns; });
 
   os << "== profile ==\n";

@@ -53,7 +53,8 @@ class ScopedTimer {
 };
 
 // Table of every site that executed at least once: name, calls, total ms,
-// mean us per call. Sites are sorted by total time, descending.
+// mean us per call. Sites sharing a name are summed into one row; rows are
+// sorted by total time, descending.
 void write_profile_report(std::ostream& os);
 
 // Zeroes every registered site's accumulators (sites stay registered).

@@ -1,10 +1,9 @@
 // Continuous mobility drivers: random-waypoint and RPGM-style group motion.
 //
 // A MobilityDriver owns per-node kinematic state and advances it in discrete
-// steps; each step reports which nodes moved, so consumers can hand the new
-// positions to an incremental path (DynamicDelaunay::update, the local-DT
-// maintenance under MdtOverlay::recompute) instead of rebuilding from scratch
-// every round.
+// steps; each step reports which nodes moved (moved()), so a consumer can
+// limit its work to the nodes whose state depends on them. The scenario
+// catalog re-realizes the radio topology from all positions each round.
 //
 // Models:
 //  * kRandomWaypoint -- each node independently picks a uniform waypoint and

@@ -5,12 +5,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
 #include "geom/brute_force.hpp"
 #include "geom/delaunay.hpp"
-#include "geom/dynamic_delaunay.hpp"
+#include "geom/local_delaunay.hpp"
 #include "geom/predicates.hpp"
 
 namespace gdvr::geom {
@@ -116,6 +117,28 @@ TEST(Predicates, DegenerateSimplexRejected) {
   Vec center;
   double r2 = 0.0;
   EXPECT_FALSE(circumsphere(collinear, center, r2));
+}
+
+TEST(Predicates, LargestSupportedDimension) {
+  // d = 12 is the largest dimension the triangulation accepts: the origin
+  // and the unit vectors span a simplex whose circumsphere has center
+  // (1/2, ..., 1/2) and squared radius 12/4.
+  constexpr int kDim = 12;
+  std::vector<Vec> simplex{Vec::zero(kDim)};
+  for (int i = 0; i < kDim; ++i) {
+    Vec e = Vec::zero(kDim);
+    e[i] = 1.0;
+    simplex.push_back(e);
+  }
+  EXPECT_NE(orient(simplex), 0.0);
+  Vec center;
+  double r2 = 0.0;
+  ASSERT_TRUE(circumsphere(simplex, center, r2));
+  EXPECT_NEAR(r2, 3.0, 1e-12);
+  Vec outside = Vec::zero(kDim);
+  outside[0] = -1.0;
+  EXPECT_GT(in_sphere(simplex, center), 0.0);
+  EXPECT_LT(in_sphere(simplex, outside), 0.0);
 }
 
 TEST(Predicates, DeterminantKnownValues) {
@@ -431,394 +454,296 @@ TEST(DelaunayWalk, LocateConflictAgreesWithLinearOnConflictExistence) {
   }
 }
 
-// ---------- incremental maintenance (DynamicDelaunay) ----------
+// ---------- local DT: one center's star ----------
+//
+// Triangulation::star_neighbors() computes one point's Delaunay neighbors
+// from its star alone. The oracle is delaunay_graph() over bit-identical
+// coordinates (its own jitter switched off): every point of each set takes a
+// turn as the center, hull points and outliers included.
 
-using Key = DynamicDelaunay::Key;
+// Deterministic test-side jitter, so degenerate inputs reach both
+// implementations already in general position.
+std::vector<Vec> jittered(std::vector<Vec> pts, double mag, std::uint64_t seed) {
+  Rng rng(seed);
+  for (Vec& p : pts)
+    for (int c = 0; c < p.dim(); ++c) p[c] += rng.uniform(-mag, mag);
+  return pts;
+}
 
-// The oracle contract: an incrementally maintained instance must be
-// structurally equal (same neighbor sets for every key) to a fresh instance
-// assigned the same logical point set -- which runs a full from-scratch
-// build over bit-identical jittered coordinates.
-void expect_matches_oracle(DynamicDelaunay& dyn, const std::map<Key, Vec>& shadow, int dim,
-                           const DelaunayOptions& opts, const char* where,
-                           bool check_spheres = true) {
-  const std::vector<std::pair<Key, Vec>> pts(shadow.begin(), shadow.end());
-  DynamicDelaunay oracle(dim, opts);
-  oracle.assign(pts);
-  ASSERT_EQ(dyn.size(), oracle.size()) << where;
-  for (const auto& [k, p] : shadow)
-    ASSERT_EQ(dyn.neighbors(k), oracle.neighbors(k)) << where << " key=" << k << " dim=" << dim;
-  // The direct geometric check only makes sense when jitter was decisive:
-  // on exactly-degenerate inputs (cospherical grids) the in_sphere residuals
-  // are of jitter magnitude, above the strict tolerance no matter how the
-  // set is triangulated, so callers opt out and rely on oracle equality.
-  if (check_spheres && dyn.has_triangulation() && dyn.jitter_level() == 0) {
-    ASSERT_TRUE(dyn.triangulation().empty_circumsphere_property()) << where << " dim=" << dim;
+void expect_stars_match_graph(std::span<const Vec> pts, const std::string& where) {
+  DelaunayOptions as_given;
+  as_given.jitter_rel = 0.0;
+  const DelaunayGraph g = delaunay_graph(pts, as_given);
+  ASSERT_FALSE(g.complete_graph_fallback) << where;
+  Triangulation tri;
+  std::vector<int> nbrs;
+  for (int c = 0; c < static_cast<int>(pts.size()); ++c) {
+    ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs)) << where << " center=" << c;
+    EXPECT_EQ(nbrs, g.nbrs[static_cast<std::size_t>(c)]) << where << " center=" << c;
   }
 }
 
-TEST(IncrementalDelaunay, InsertOnlyMatchesFromScratch) {
-  for (int dim : {2, 3}) {
-    const auto pts = random_points(40, dim, 9000u + static_cast<std::uint64_t>(dim));
-    DynamicDelaunay dyn(dim);
-    std::map<Key, Vec> shadow;
-    for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
-      const Key k = 1000 + i * 7;  // non-contiguous keys on purpose
-      dyn.insert(k, pts[static_cast<std::size_t>(i)]);
-      shadow.emplace(k, pts[static_cast<std::size_t>(i)]);
-    }
-    expect_matches_oracle(dyn, shadow, dim, {}, "insert-only");
-    EXPECT_EQ(dyn.stats().full_rebuilds, 0u) << "dim=" << dim;
-  }
-}
-
-TEST(IncrementalDelaunay, RemoveMatchesFromScratch) {
-  for (int dim : {2, 3}) {
-    const auto pts = random_points(36, dim, 9100u + static_cast<std::uint64_t>(dim));
-    DynamicDelaunay dyn(dim);
-    std::map<Key, Vec> shadow;
-    std::vector<std::pair<Key, Vec>> init;
-    for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
-      init.emplace_back(i, pts[static_cast<std::size_t>(i)]);
-      shadow.emplace(i, pts[static_cast<std::size_t>(i)]);
-    }
-    dyn.assign(init);
-    // Remove in a scrambled order, all the way below the triangulable size,
-    // checking against the oracle at every step (hull vertices included).
-    Rng rng(4242);
-    while (!shadow.empty()) {
-      auto it = shadow.begin();
-      std::advance(it, rng.uniform_index(static_cast<int>(shadow.size())));
-      const Key victim = it->first;
-      shadow.erase(it);
-      dyn.remove(victim);
-      expect_matches_oracle(dyn, shadow, dim, {}, "remove");
-    }
-  }
-}
-
-TEST(IncrementalDelaunay, RandomOpFuzzMatchesOracle) {
-  // The main pin: randomized insert/remove/move schedules, walk and
-  // linear-scan kernels, 2D and 3D, checked against the from-scratch oracle
-  // throughout. Moves mix small nudges with teleports (which also change the
-  // hull).
-  for (const bool linear_scan : {false, true}) {
-    DelaunayOptions opts;
-    opts.force_linear_scan = linear_scan;
-    for (int dim : {2, 3}) {
+TEST(LocalDelaunayStar, MatchesGraphRandom) {
+  for (int dim = 2; dim <= 4; ++dim)
+    for (int n : {dim + 2, 12, 40})
       for (std::uint64_t seed : {1u, 2u, 3u}) {
-        Rng rng(0xF00Du * seed + static_cast<std::uint64_t>(dim));
-        DynamicDelaunay dyn(dim, opts);
-        std::map<Key, Vec> shadow;
-        Key next_key = 0;
-        const auto random_pos = [&] {
-          Vec p(dim);
-          for (int c = 0; c < dim; ++c) p[c] = rng.uniform(0.0, 1.0);
-          return p;
-        };
-        for (int op = 0; op < 160; ++op) {
-          const double r = rng.uniform();
-          if (shadow.empty() || (r < 0.35 && shadow.size() < 48)) {
-            const Vec p = random_pos();
-            dyn.insert(next_key, p);
-            shadow.emplace(next_key, p);
-            ++next_key;
-          } else if (r < 0.55) {
-            auto it = shadow.begin();
-            std::advance(it, rng.uniform_index(static_cast<int>(shadow.size())));
-            dyn.remove(it->first);
-            shadow.erase(it);
-          } else {
-            auto it = shadow.begin();
-            std::advance(it, rng.uniform_index(static_cast<int>(shadow.size())));
-            Vec p = it->second;
-            if (rng.bernoulli(0.3)) {
-              p = random_pos();  // teleport
-            } else {
-              for (int c = 0; c < dim; ++c) p[c] += rng.uniform(-0.01, 0.01);
-            }
-            it->second = p;
-            dyn.move(it->first, p);
-          }
-          if (op % 8 == 7)
-            expect_matches_oracle(dyn, shadow, dim, opts, linear_scan ? "fuzz/linear" : "fuzz/walk");
-        }
-        expect_matches_oracle(dyn, shadow, dim, opts, "fuzz/final");
+        const auto pts =
+            random_points(n, dim, 12000u + seed * 97 + static_cast<std::uint64_t>(dim * n));
+        expect_stars_match_graph(pts, "random dim=" + std::to_string(dim) + " n=" +
+                                          std::to_string(n) + " seed=" + std::to_string(seed));
       }
-    }
-  }
 }
 
-TEST(IncrementalDelaunay, DegenerateGridSurvivesChurn) {
-  // Cocircular/cospherical grids defeat the base jitter; the escalation
-  // ladder (and, failing that, the complete-graph fallback) must keep the
-  // incremental instance consistent with the from-scratch oracle.
-  for (int dim : {2, 3}) {
-    DynamicDelaunay dyn(dim);
-    std::map<Key, Vec> shadow;
-    Key k = 0;
-    const int side = dim == 2 ? 5 : 3;
-    for (int x = 0; x < side; ++x)
-      for (int y = 0; y < side; ++y)
-        for (int z = 0; z < (dim == 2 ? 1 : side); ++z) {
-          Vec p(dim);
-          p[0] = x;
-          p[1] = y;
-          if (dim == 3) p[2] = z;
-          dyn.insert(k, p);
-          shadow.emplace(k, p);
-          ++k;
-        }
-    expect_matches_oracle(dyn, shadow, dim, {}, "grid/full", /*check_spheres=*/false);
-    // Remove a few lattice points and nudge one off the lattice.
-    for (Key victim : {0, 7, 3}) {
-      dyn.remove(victim);
-      shadow.erase(victim);
-      expect_matches_oracle(dyn, shadow, dim, {}, "grid/remove", /*check_spheres=*/false);
-    }
-    Vec p = shadow.at(5);
-    p[0] += 0.25;
-    shadow[5] = p;
-    dyn.move(5, p);
-    expect_matches_oracle(dyn, shadow, dim, {}, "grid/move", /*check_spheres=*/false);
-  }
-}
-
-TEST(IncrementalDelaunay, CollinearStaysInCompleteFallback) {
-  // Affinely degenerate input (rank < dim even after jitter escalation is
-  // irrelevant -- collinear 2D points still triangulate after jitter, but a
-  // *duplicate-heavy* tiny set may not). Below dim+2 points the instance
-  // must report the complete graph, exactly like delaunay_graph().
-  DynamicDelaunay dyn(3);
-  std::map<Key, Vec> shadow;
-  for (Key i = 0; i < 4; ++i) {  // 4 points < dim + 2 = 5
-    Vec p{static_cast<double>(i), 0.0, 0.0};
-    dyn.insert(i, p);
-    shadow.emplace(i, p);
-  }
-  EXPECT_FALSE(dyn.has_triangulation());
-  for (Key i = 0; i < 4; ++i) {
-    std::vector<Key> want;
-    for (Key j = 0; j < 4; ++j)
-      if (j != i) want.push_back(j);
-    EXPECT_EQ(dyn.neighbors(i), want);
-  }
-  // A fifth collinear point makes n = dim+2 but leaves the set affinely
-  // degenerate beyond what jitter can fix at every ladder level... except
-  // that jitter in 3D does break collinearity. Either way: oracle equality.
-  dyn.insert(4, Vec{4.0, 0.0, 0.0});
-  shadow.emplace(4, Vec{4.0, 0.0, 0.0});
-  expect_matches_oracle(dyn, shadow, 3, {}, "collinear");
-}
-
-TEST(IncrementalDelaunay, NearCollinearMovesMatchOracle) {
-  // Near-degenerate motion: points strung along a line with tiny lateral
-  // offsets, sliding mostly lengthwise. Every triangle is a sliver, so the
-  // remove + reinsert of a move operates right at the predicate tolerance
-  // and may fail into a rebuild -- correctness must come from oracle
-  // equality regardless. The in-sphere
-  // residuals are of offset magnitude, so the direct geometric check is
-  // opted out exactly like the cocircular-grid test.
-  for (int dim : {2, 3}) {
-    DynamicDelaunay dyn(dim);
-    std::map<Key, Vec> shadow;
-    Rng rng(9300u + static_cast<std::uint64_t>(dim));
-    const int n = 14;
-    for (Key i = 0; i < n; ++i) {
+TEST(LocalDelaunayStar, MatchesGraphHullCenters) {
+  // Box corners and far outliers: centers whose stars stay open (infinite
+  // cells) until the last point, and interior points whose stars close early.
+  for (int dim = 2; dim <= 4; ++dim) {
+    auto pts = random_points(30, dim, 12500u + static_cast<std::uint64_t>(dim));
+    for (int corner = 0; corner < (1 << dim); ++corner) {
       Vec p(dim);
-      p[0] = static_cast<double>(i);
+      for (int c = 0; c < dim; ++c) p[c] = (corner >> c) & 1 ? 1.0 : 0.0;
+      pts.push_back(p);
+    }
+    Vec far(dim);
+    for (int c = 0; c < dim; ++c) far[c] = 5.0 + c;
+    pts.push_back(far);
+    expect_stars_match_graph(jittered(pts, 1e-7, 12600u + static_cast<std::uint64_t>(dim)),
+                             "hull dim=" + std::to_string(dim));
+  }
+}
+
+TEST(LocalDelaunayStar, MatchesGraphNearDuplicates) {
+  // Pairs about 1e-9 apart (1e-13 before the production-sized jitter): the
+  // stars of both twins are slivers around the pair.
+  for (int dim = 2; dim <= 3; ++dim) {
+    auto pts = random_points(20, dim, 12700u + static_cast<std::uint64_t>(dim));
+    for (std::size_t i = 0; i < 6; ++i) {
+      Vec p = pts[i];
+      p[static_cast<int>(i) % dim] += 1e-13;
+      pts.push_back(p);
+    }
+    expect_stars_match_graph(jittered(pts, 1e-9, 12800u + static_cast<std::uint64_t>(dim)),
+                             "near-duplicates dim=" + std::to_string(dim));
+  }
+}
+
+TEST(LocalDelaunayStar, MatchesGraphJitteredCosphericalGrid) {
+  // Perfect grids are co-circular / co-spherical everywhere; the jitter is
+  // the only thing separating candidate stars. The jitter is large enough
+  // to make every predicate decisive: at the production 1e-9, the slivers
+  // along a grid's hull sides have circumradii near 1e8, below the cached
+  // circumsphere's floating-point noise floor, so the DT depends on the
+  // insertion order -- delaunay_graph() alone gives 13 of this 2-D grid's
+  // 49 points a different neighbor set when the input is reversed (see
+  // also DelaunayWalk.MatchesLinearScanCosphericalGrid).
+  std::vector<Vec> grid2;
+  for (int r = 0; r < 7; ++r)
+    for (int c = 0; c < 7; ++c) grid2.push_back(Vec{static_cast<double>(c), static_cast<double>(r)});
+  expect_stars_match_graph(jittered(grid2, 1e-6 * 7, 12900), "grid 2-D");
+  std::vector<Vec> grid3;
+  for (int x = 0; x < 4; ++x)
+    for (int y = 0; y < 4; ++y)
+      for (int z = 0; z < 4; ++z)
+        grid3.push_back(Vec{static_cast<double>(x), static_cast<double>(y), static_cast<double>(z)});
+  expect_stars_match_graph(jittered(grid3, 1e-6 * 4, 12901), "grid 3-D");
+}
+
+TEST(LocalDelaunayStar, MatchesGraphNearCollinearTrains) {
+  // Points strung along a line with tiny lateral offsets: every cell is a
+  // sliver and every star is long and thin.
+  for (int dim = 2; dim <= 3; ++dim) {
+    Rng rng(13000u + static_cast<std::uint64_t>(dim));
+    std::vector<Vec> pts;
+    for (int i = 0; i < 16; ++i) {
+      Vec p(dim);
+      p[0] = static_cast<double>(i) + rng.uniform(-0.3, 0.3);
       for (int c = 1; c < dim; ++c) p[c] = rng.uniform(-1e-4, 1e-4);
-      dyn.insert(i, p);
-      shadow.emplace(i, p);
+      pts.push_back(p);
     }
-    expect_matches_oracle(dyn, shadow, dim, {}, "near-collinear/build", /*check_spheres=*/false);
-    for (int op = 0; op < 40; ++op) {
-      const Key k = rng.uniform_index(n);
-      Vec p = shadow.at(k);
-      p[0] += rng.uniform(-0.3, 0.3);
-      for (int c = 1; c < dim; ++c) p[c] += rng.uniform(-1e-4, 1e-4);
-      shadow[k] = p;
-      dyn.move(k, p);
-      expect_matches_oracle(dyn, shadow, dim, {}, "near-collinear/move", /*check_spheres=*/false);
-    }
+    expect_stars_match_graph(pts, "train dim=" + std::to_string(dim));
   }
 }
 
-TEST(IncrementalDelaunay, RemoveAndReinsertJustMovedKey) {
-  // A key that moves and is then removed (or removed and re-added) must not
-  // leave stale slot/index state behind. Exercised per-op and through
-  // update(): a teleport in one diff (remove + reinsert of the same slot),
-  // then the same key dropped and re-added across two diffs.
-  for (int dim : {2, 3}) {
-    const int n = 24;
-    const auto pts = random_points(n, dim, 9400u + static_cast<std::uint64_t>(dim));
-    DynamicDelaunay dyn(dim);
-    std::map<Key, Vec> shadow;
-    std::vector<std::pair<Key, Vec>> init;
-    for (int i = 0; i < n; ++i) {
-      init.emplace_back(i, pts[static_cast<std::size_t>(i)]);
-      shadow.emplace(i, pts[static_cast<std::size_t>(i)]);
+TEST(LocalDelaunayStar, SmallSetsAreCompleteGraphs) {
+  // d+1 points form one simplex: every other point is a neighbor. Fewer
+  // cannot span the space, and the star computation reports failure.
+  for (int dim = 2; dim <= 4; ++dim) {
+    const auto pts = random_points(dim + 1, dim, 13100u + static_cast<std::uint64_t>(dim));
+    Triangulation tri;
+    std::vector<int> nbrs;
+    for (int c = 0; c <= dim; ++c) {
+      ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs));
+      std::vector<int> want;
+      for (int j = 0; j <= dim; ++j)
+        if (j != c) want.push_back(j);
+      EXPECT_EQ(nbrs, want) << "dim=" << dim << " center=" << c;
     }
-    dyn.assign(init);
-    Rng rng(606u + static_cast<std::uint64_t>(dim));
-    for (int round = 0; round < 10; ++round) {
-      const Key k = rng.uniform_index(n);
-      Vec p = shadow.at(k);
-      for (int c = 0; c < dim; ++c) p[c] += rng.uniform(-0.01, 0.01);
-      dyn.move(k, p);  // shadow intentionally not updated: the key dies next
-      dyn.remove(k);
-      shadow.erase(k);
-      expect_matches_oracle(dyn, shadow, dim, {}, "move-then-remove");
-      Vec q(dim);
-      for (int c = 0; c < dim; ++c) q[c] = rng.uniform(0.0, 1.0);
-      dyn.insert(k, q);
-      shadow.emplace(k, q);
-      expect_matches_oracle(dyn, shadow, dim, {}, "move-then-reinsert");
-    }
-    const auto update = [&] {
-      return dyn.update(std::vector<std::pair<Key, Vec>>(shadow.begin(), shadow.end()));
-    };
-    for (int round = 0; round < 6; ++round) {
-      const Key k = rng.uniform_index(n);
-      Vec fin(dim);
-      for (int c = 0; c < dim; ++c) fin[c] = rng.uniform(0.0, 1.0);
-      shadow[k] = fin;
-      EXPECT_TRUE(update());
-      expect_matches_oracle(dyn, shadow, dim, {}, "update/teleport");
-      shadow.erase(k);
-      EXPECT_TRUE(update());
-      expect_matches_oracle(dyn, shadow, dim, {}, "update/drop");
-      Vec back(dim);
-      for (int c = 0; c < dim; ++c) back[c] = rng.uniform(0.0, 1.0);
-      shadow.emplace(k, back);
-      EXPECT_TRUE(update());
-      expect_matches_oracle(dyn, shadow, dim, {}, "update/re-add");
-    }
+    const std::vector<Vec> too_few(pts.begin(), pts.end() - 1);
+    EXPECT_FALSE(tri.star_neighbors(too_few, 0, nbrs)) << "dim=" << dim;
   }
 }
 
-TEST(IncrementalDelaunay, UpdateMatchesAssignOracle) {
-  // update() under the input sequences MdtOverlay::recompute produces: a
-  // core of long-lived points (physical neighbors) plus a fringe of
-  // candidates that comes and goes, positions nudged each adjustment
-  // period. After every update() the instance must equal a fresh assign()
-  // of the same set, for both kernels, in 2D and 3D.
-  const auto tied = [](const DynamicDtStats& s) {
+// ---------- local DT: one node's input sequence (LocalDelaunay) ----------
+
+using Key = LocalDelaunay::Key;
+
+// The center's neighbors in delaunay_graph() over the raw positions, as
+// keys. Valid as an oracle on random inputs, where the 1e-9 production
+// jitter cannot change the triangulation.
+std::vector<Key> graph_neighbors(Key center, const std::map<Key, Vec>& set) {
+  std::vector<Vec> pts;
+  std::vector<Key> keys;
+  for (const auto& [k, p] : set) {
+    keys.push_back(k);
+    pts.push_back(p);
+  }
+  const int c = static_cast<int>(std::find(keys.begin(), keys.end(), center) - keys.begin());
+  DelaunayOptions as_given;
+  as_given.jitter_rel = 0.0;
+  const DelaunayGraph g = delaunay_graph(pts, as_given);
+  std::vector<Key> out;
+  for (int j : g.nbrs[static_cast<std::size_t>(c)]) out.push_back(keys[static_cast<std::size_t>(j)]);
+  return out;
+}
+
+TEST(LocalDelaunay, OverlayInputSequence) {
+  // The input sequence MdtOverlay::recompute produces for one node: a core
+  // of long-lived points (physical neighbors), a fringe of candidates that
+  // comes and goes, positions nudged each adjustment period. Checks N_u
+  // against the oracle, the unchanged-input early-out and the diff counters
+  // after every step, for both locate modes.
+  const auto counters = [](const DynamicDtStats& s) {
     return std::make_tuple(s.inserts, s.removes, s.moves, s.move_early_outs, s.full_rebuilds,
                            s.walk_fallbacks);
   };
   for (const bool linear_scan : {false, true}) {
     DelaunayOptions opts;
     opts.force_linear_scan = linear_scan;
-    const char* kernel = linear_scan ? "linear" : "walk";
     for (int dim : {2, 3}) {
-      for (std::uint64_t seed : {1u, 2u}) {
-        SCOPED_TRACE(::testing::Message() << kernel << " dim=" << dim << " seed=" << seed);
-        Rng rng(0xD1FFu * seed + static_cast<std::uint64_t>(dim));
-        DynamicDelaunay dyn(dim, opts);
-        std::map<Key, Vec> shadow;
-        const auto random_pos = [&] {
-          Vec p(dim);
-          for (int c = 0; c < dim; ++c) p[c] = rng.uniform(0.0, 1.0);
-          return p;
-        };
-        const auto nudge = [&](Key k) {
-          for (int c = 0; c < dim; ++c) shadow[k][c] += rng.uniform(-0.05, 0.05);
-        };
-        const auto update = [&](const char* where) {
-          const bool changed =
-              dyn.update(std::vector<std::pair<Key, Vec>>(shadow.begin(), shadow.end()));
-          expect_matches_oracle(dyn, shadow, dim, opts, where);
-          return changed;
-        };
-        const int core = 30;
-        for (Key k = 0; k < core; ++k) shadow.emplace(k, random_pos());
-        EXPECT_TRUE(update("initial"));
-
-        // An unchanged set is no work at all.
-        const DynamicDtStats s0 = dyn.stats();
-        EXPECT_FALSE(update("unchanged"));
-        EXPECT_EQ(tied(dyn.stats()), tied(s0));
-
-        // A -> B -> A: a fringe of candidates is learned, pruned, relearned.
-        std::vector<std::pair<Key, Vec>> fringe;
-        for (Key k = 100; k < 104; ++k) fringe.emplace_back(k, random_pos());
-        for (int round = 0; round < 3; ++round) {
-          shadow.insert(fringe.begin(), fringe.end());
-          EXPECT_TRUE(update("fringe learned"));
-          for (const auto& [k, p] : fringe) shadow.erase(k);
-          EXPECT_TRUE(update("fringe pruned"));
+      SCOPED_TRACE(::testing::Message() << (linear_scan ? "linear" : "walk") << " dim=" << dim);
+      Rng rng(0x5747u + static_cast<std::uint64_t>(dim));
+      LocalDelaunay local(opts);
+      std::map<Key, Vec> set;
+      const Key center = 7;
+      const auto random_pos = [&] {
+        Vec p(dim);
+        for (int c = 0; c < dim; ++c) p[c] = rng.uniform(0.0, 1.0);
+        return p;
+      };
+      // Applies one input and checks the counters moved by exactly the key
+      // diff against the previous input.
+      std::map<Key, Vec> prev;
+      const auto update = [&](const char* where) {
+        std::uint64_t ins = 0, rem = 0, mov = 0;
+        for (const auto& [k, p] : set) {
+          const auto it = prev.find(k);
+          if (it == prev.end())
+            ++ins;
+          else if (!(it->second == p))
+            ++mov;
         }
+        for (const auto& [k, p] : prev)
+          if (!set.count(k)) ++rem;
+        const DynamicDtStats before = local.stats();
+        const bool changed =
+            local.update(center, std::vector<std::pair<Key, Vec>>(set.begin(), set.end()));
+        EXPECT_EQ(changed, ins + rem + mov > 0) << where;
+        EXPECT_EQ(local.stats().inserts, before.inserts + ins) << where;
+        EXPECT_EQ(local.stats().removes, before.removes + rem) << where;
+        EXPECT_EQ(local.stats().moves, before.moves + mov) << where;
+        EXPECT_EQ(local.stats().full_rebuilds, before.full_rebuilds) << where;
+        if (static_cast<int>(set.size()) >= dim + 2) {
+          EXPECT_EQ(local.neighbors(), graph_neighbors(center, set)) << where;
+        }
+        prev = set;
+        return changed;
+      };
 
-        // Sparse moves stay under the rebuild bar: per-point remove +
-        // reinsert, no rebuild.
-        for (int round = 0; round < 6; ++round) {
-          const DynamicDtStats before = dyn.stats();
-          nudge(rng.uniform_index(core));
-          EXPECT_TRUE(update("sparse moves"));
-          EXPECT_EQ(dyn.stats().moves, before.moves + 1);
-          EXPECT_EQ(dyn.stats().full_rebuilds, before.full_rebuilds);
-        }
+      for (Key k = 0; k < 30; ++k) set.emplace(k, random_pos());
+      EXPECT_TRUE(update("initial"));
 
-        // Mass moves pass the bar: the whole diff becomes one rebuild.
-        for (int round = 0; round < 3; ++round) {
-          const DynamicDtStats before = dyn.stats();
-          for (Key k = 0; k < core; ++k) nudge(k);
-          EXPECT_TRUE(update("mass moves"));
-          EXPECT_EQ(dyn.stats().moves, before.moves + static_cast<std::uint64_t>(core));
-          EXPECT_EQ(dyn.stats().full_rebuilds, before.full_rebuilds + 1);
-        }
+      // An unchanged input is no work: same N_u, same counters.
+      const DynamicDtStats s0 = local.stats();
+      const std::vector<Key> n0 = local.neighbors();
+      EXPECT_FALSE(update("unchanged"));
+      EXPECT_EQ(counters(local.stats()), counters(s0));
+      EXPECT_EQ(local.neighbors(), n0);
 
-        // Shrink below dim+2 (complete-graph mode) and grow back.
-        while (static_cast<int>(shadow.size()) > dim) {
-          for (int i = 0; i < 7 && static_cast<int>(shadow.size()) > dim; ++i) {
-            auto it = shadow.begin();
-            std::advance(it, rng.uniform_index(static_cast<int>(shadow.size())));
-            shadow.erase(it);
-          }
-          EXPECT_TRUE(update("shrink"));
-        }
-        EXPECT_FALSE(dyn.has_triangulation());
-        for (Key k = 200; k < 220; ++k) {
-          shadow.emplace(k, random_pos());
-          if (k % 5 == 4) {
-            EXPECT_TRUE(update("grow"));
-          }
-        }
-        EXPECT_TRUE(dyn.has_triangulation());
+      // A -> B -> A: a fringe of candidates is learned, pruned, relearned.
+      std::vector<std::pair<Key, Vec>> fringe;
+      for (Key k = 100; k < 104; ++k) fringe.emplace_back(k, random_pos());
+      for (int round = 0; round < 3; ++round) {
+        set.insert(fringe.begin(), fringe.end());
+        EXPECT_TRUE(update("fringe learned"));
+        for (const auto& [k, p] : fringe) set.erase(k);
+        EXPECT_TRUE(update("fringe pruned"));
       }
+
+      // Sparse and mass nudges, the center's own position included.
+      for (int round = 0; round < 4; ++round) {
+        for (int c = 0; c < dim; ++c) set[rng.uniform_index(30)][c] += rng.uniform(-0.05, 0.05);
+        EXPECT_TRUE(update("sparse moves"));
+      }
+      for (int round = 0; round < 3; ++round) {
+        for (auto& [k, p] : set)
+          for (int c = 0; c < dim; ++c) p[c] += rng.uniform(-0.05, 0.05);
+        EXPECT_TRUE(update("mass moves"));
+      }
+
+      // Shrink below dim+2 points (complete graph) and grow back.
+      while (static_cast<int>(set.size()) > dim) {
+        for (int i = 0; i < 7 && static_cast<int>(set.size()) > dim; ++i) {
+          auto it = set.begin();
+          std::advance(it, rng.uniform_index(static_cast<int>(set.size())));
+          if (it->first != center) set.erase(it);
+        }
+        update("shrink");
+      }
+      std::vector<Key> others;
+      for (const auto& [k, p] : set)
+        if (k != center) others.push_back(k);
+      EXPECT_EQ(local.neighbors(), others);
+      for (Key k = 200; k < 220; ++k) {
+        set.emplace(k, random_pos());
+        if (k % 5 == 4) {
+          EXPECT_TRUE(update("grow"));
+        }
+      }
+
+      // Same points, another center: a new input.
+      const DynamicDtStats s1 = local.stats();
+      EXPECT_TRUE(local.update(200, std::vector<std::pair<Key, Vec>>(set.begin(), set.end())));
+      EXPECT_EQ(counters(local.stats()), counters(s1));
+      EXPECT_EQ(local.neighbors(), graph_neighbors(200, set));
     }
   }
 }
 
-TEST(IncrementalDelaunay, VertexSlotsAreReused) {
-  // Long churn must not grow point storage monotonically: removed vertex
-  // slots are recycled by later inserts.
-  DynamicDelaunay dyn(2);
-  Rng rng(77);
-  std::map<Key, Vec> shadow;
-  Key next_key = 0;
-  for (Key i = 0; i < 20; ++i) {
-    Vec p{rng.uniform(), rng.uniform()};
-    dyn.insert(next_key, p);
-    shadow.emplace(next_key, p);
-    ++next_key;
-  }
-  for (int round = 0; round < 50; ++round) {
-    auto it = shadow.begin();
-    std::advance(it, rng.uniform_index(static_cast<int>(shadow.size())));
-    dyn.remove(it->first);
-    shadow.erase(it);
-    Vec p{rng.uniform(), rng.uniform()};
-    dyn.insert(next_key, p);
-    shadow.emplace(next_key, p);
-    ++next_key;
-  }
-  ASSERT_TRUE(dyn.has_triangulation());
-  EXPECT_EQ(dyn.triangulation().live_points(), 20);
-  EXPECT_LE(dyn.triangulation().jittered_points().size(), 24u)
-      << "removed slots must be recycled, not leaked";
-  expect_matches_oracle(dyn, shadow, 2, {}, "slot-reuse");
+TEST(LocalDelaunay, JitterEscalationAndCompleteFallback) {
+  // Exactly collinear points in 2-D have affine rank 1: the star needs the
+  // jitter. Scaled down to 1e-16, only the third rung (1e-10) clears the
+  // rank tolerance; at zero no rung does, and N_u is every other key. Both
+  // count as full rebuilds.
+  std::vector<std::pair<Key, Vec>> line;
+  for (Key i = 0; i < 8; ++i)
+    line.emplace_back(i, Vec{static_cast<double>(i), 2.0 * static_cast<double>(i)});
+  DelaunayOptions tiny;
+  tiny.jitter_rel = 1e-16;
+  LocalDelaunay escalated(tiny);
+  EXPECT_TRUE(escalated.update(3, line));
+  EXPECT_EQ(escalated.stats().full_rebuilds, 1u);
+  // Consecutive points stay neighbors whatever the jitter (Gabriel edges).
+  const std::vector<Key>& n3 = escalated.neighbors();
+  EXPECT_TRUE(std::binary_search(n3.begin(), n3.end(), Key{2}));
+  EXPECT_TRUE(std::binary_search(n3.begin(), n3.end(), Key{4}));
+  EXPECT_LT(n3.size(), 7u);
+
+  DelaunayOptions none;
+  none.jitter_rel = 0.0;
+  LocalDelaunay fallback(none);
+  EXPECT_TRUE(fallback.update(3, line));
+  EXPECT_EQ(fallback.stats().full_rebuilds, 1u);
+  EXPECT_EQ(fallback.neighbors(), (std::vector<Key>{0, 1, 2, 4, 5, 6, 7}));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -276,6 +277,34 @@ TEST(Profile, AccumulatesOnlyWhenEnabled) {
   std::ostringstream after;
   write_profile_report(after);
   EXPECT_EQ(after.str().find("obs_test.timed_work"), std::string::npos);
+}
+
+// Two scopes under one name, as a template instantiated twice produces.
+void shared_name_a() { GDVR_PROFILE_SCOPE("obs_test.shared_name"); }
+void shared_name_b() { GDVR_PROFILE_SCOPE("obs_test.shared_name"); }
+
+TEST(Profile, SitesSharingANameReportAsOneRow) {
+  reset_profile();
+  set_profiling(true);
+  for (int i = 0; i < 5; ++i) shared_name_a();
+  for (int i = 0; i < 3; ++i) shared_name_b();
+  set_profiling(false);
+
+  std::ostringstream os;
+  write_profile_report(os);
+  std::istringstream in(os.str());
+  std::string line;
+  int rows = 0;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string name;
+    std::uint64_t calls = 0;
+    if (!(ls >> name >> calls) || name != "obs_test.shared_name") continue;
+    ++rows;
+    EXPECT_EQ(calls, 8u) << os.str();
+  }
+  EXPECT_EQ(rows, 1) << os.str();
+  reset_profile();
 }
 
 }  // namespace
