@@ -20,6 +20,7 @@
 #include "routing/distance_vector.hpp"
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
+#include "mdt/messages.hpp"
 #include "radio/topology.hpp"
 #include "routing/mdt_view.hpp"
 #include "routing/routers.hpp"
@@ -320,12 +321,14 @@ BENCHMARK(BM_SimulatorEventLoop)->Arg(64)->Arg(1024)->Unit(benchmark::kMilliseco
 
 // One NetSim transmission end to end: link-up check (LinkSet), per-node RNG
 // delay draw, node-lane schedule, delivery. The dominant inner loop of every
-// protocol run.
-void BM_NetSimSend(benchmark::State& state) {
+// protocol run. Each send starts from a fresh copy of `msg`, as a protocol
+// builds a fresh message per hop.
+template <typename Message>
+void netsim_send(benchmark::State& state, const Message& msg) {
   static const RoutingFixture fx;
   sim::Simulator sim;
-  sim::NetSim<int> net(sim, fx.topo.etx, 0.01, 0.1, /*seed=*/3);
-  net.set_receiver([](int, int, int) {});
+  sim::NetSim<Message> net(sim, fx.topo.etx, 0.01, 0.1, /*seed=*/3);
+  net.set_receiver([](int, int, const Message&) {});
   Rng rng(9);
   const int n = fx.topo.size();
   std::uint64_t sent = 0;
@@ -336,14 +339,44 @@ void BM_NetSimSend(benchmark::State& state) {
       if (nbrs.empty()) continue;
       const int v = nbrs[static_cast<std::size_t>(rng.uniform_index(
                              static_cast<int>(nbrs.size())))].to;
-      net.send(u, v, 0);
+      net.send(u, v, msg);
       ++sent;
     }
     sim.run_until(sim.now() + 1.0);  // drain deliveries
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(sent));
 }
+
+// The transport's floor: an int payload.
+void BM_NetSimSend(benchmark::State& state) { netsim_send(state, 0); }
 BENCHMARK(BM_NetSimSend);
+
+// The same path carrying what the protocols carry. Arg 0: a live GDV data
+// packet detouring along a 4-hop virtual link. Arg 1: a neighbor-set reply
+// with 20 neighbor records, source-routed back over 3 hops.
+void BM_NetSimSendEnvelope(benchmark::State& state) {
+  mdt::Envelope m;
+  m.origin = 0;
+  m.target = 1;
+  m.target_pos = Vec{10.0, 20.0, 30.0};
+  if (state.range(0) == 0) {
+    m.kind = mdt::Kind::kData;
+    m.route = {0, 5, 9, 14, 1};
+    m.detour = true;
+    m.ttl = 832;
+    m.token = 42;
+    state.SetLabel("data, 4-hop route");
+  } else {
+    m.kind = mdt::Kind::kNbrSetReply;
+    m.origin_info = mdt::NodeInfo{0, Vec{1.0, 2.0, 3.0}, 0.2, true, 5, 0};
+    m.route = {0, 7, 3, 1};
+    for (int i = 0; i < 20; ++i)
+      m.nbr_infos.push_back(mdt::NodeInfo{i, Vec{1.0 * i, 2.0, 3.0}, 0.1, true, 1, 0});
+    state.SetLabel("nbr_set_reply, 20 nbr_infos");
+  }
+  netsim_send(state, m);
+}
+BENCHMARK(BM_NetSimSendEnvelope)->Arg(0)->Arg(1);
 
 // Full-protocol engine comparison: one VPoD run (token flood + initial MDT
 // join) through the engine-selection seam. threads == 0 is the serial

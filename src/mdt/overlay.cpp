@@ -43,7 +43,8 @@ MdtOverlay::MdtOverlay(Net& net, const MdtConfig& config)
 }
 
 void MdtOverlay::attach() {
-  net_.set_receiver([this](NodeId to, NodeId from, Envelope msg) { handle(to, from, std::move(msg)); });
+  net_.set_receiver(
+      [this](NodeId to, NodeId from, Envelope&& msg) { handle(to, from, std::move(msg)); });
 }
 
 // --------------------------------------------------------------------------
@@ -1049,35 +1050,6 @@ void MdtOverlay::send_hello(NodeId u) {
 
 // --------------------------------------------------------------------------
 // Queries
-
-std::vector<NeighborView> MdtOverlay::neighbor_views(NodeId u) const {
-  const NodeState& s = st(u);
-  std::vector<NeighborView> views;
-  for (const auto& [id, info] : s.phys) {
-    NeighborView v;
-    v.id = id;
-    v.pos = info.pos;
-    v.err = info.err;
-    v.cost = net_.link_cost(u, id);
-    v.is_phys = true;
-    v.is_dt = contains(s.dt_nbrs, id);
-    views.push_back(v);
-  }
-  for (NodeId y : s.dt_nbrs) {
-    if (s.phys.count(y)) continue;
-    auto it = s.cand.find(y);
-    if (it == s.cand.end() || !std::isfinite(it->second.cost)) continue;
-    NeighborView v;
-    v.id = y;
-    v.pos = it->second.pos;
-    v.err = it->second.err;
-    v.cost = it->second.cost;
-    v.is_phys = false;
-    v.is_dt = true;
-    views.push_back(v);
-  }
-  return views;
-}
 
 const std::vector<NodeId>& MdtOverlay::virtual_path(NodeId u, NodeId v) const {
   const NodeState& s = st(u);

@@ -18,6 +18,7 @@
 // they happen) and repaired by periodic maintenance rounds.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -83,14 +84,16 @@ struct MdtConfig {
   FailureDetectorConfig fd;
 };
 
-// A neighbor as seen by VPoD's adjustment algorithm and by GDV forwarding.
+// A neighbor as seen by VPoD's adjustment algorithm and by GDV forwarding,
+// handed to MdtOverlay::for_each_neighbor's visitor. `pos` refers to the
+// position the node stores for that neighbor; it is valid during the call.
 struct NeighborView {
-  NodeId id = -1;
-  Vec pos;
-  double err = 1.0;
-  double cost = 0.0;   // c(u,v) for physical neighbors, D(u,v) otherwise
-  bool is_phys = false;
-  bool is_dt = false;
+  NodeId id;
+  const Vec& pos;
+  double err;
+  double cost;   // c(u,v) for physical neighbors, D(u,v) otherwise
+  bool is_phys;
+  bool is_dt;
 };
 
 class MdtOverlay {
@@ -137,8 +140,12 @@ class MdtOverlay {
   bool joined(NodeId u) const { return states_[static_cast<std::size_t>(u)].joined; }
   const Vec& position(NodeId u) const { return states_[static_cast<std::size_t>(u)].pos; }
   double error(NodeId u) const { return states_[static_cast<std::size_t>(u)].err; }
-  // P_u ∪ N_u with positions, errors and routing costs.
-  std::vector<NeighborView> neighbor_views(NodeId u) const;
+  // Calls fn(const NeighborView&) for each of P_u ∪ N_u with its position,
+  // error and routing cost, without allocating: first P_u by id, then
+  // N_u \ P_u by id (multi-hop DT neighbors with a finite cost). Every
+  // tie-break in VPoD and GDV forwarding depends on this order.
+  template <typename Fn>
+  void for_each_neighbor(NodeId u, Fn&& fn) const;
   // Advertised state of physical neighbors (populated by Hello / PosUpdate;
   // available even before the node activates -- VPoD's position
   // initialization rules need it).
@@ -385,5 +392,27 @@ class MdtOverlay {
   std::vector<Rng> rng_;
   std::vector<NodeId> empty_path_;
 };
+
+template <typename Fn>
+void MdtOverlay::for_each_neighbor(NodeId u, Fn&& fn) const {
+  const NodeState& s = st(u);
+  // P_u and N_u are both sorted by id, so one merge walk marks which
+  // physical neighbors are also DT neighbors...
+  auto dt = s.dt_nbrs.begin();
+  for (const auto& [id, info] : s.phys) {
+    while (dt != s.dt_nbrs.end() && *dt < id) ++dt;
+    const bool is_dt = dt != s.dt_nbrs.end() && *dt == id;
+    fn(NeighborView{id, info.pos, info.err, net_.link_cost(u, id), true, is_dt});
+  }
+  // ...and a second one skips them among the DT neighbors.
+  auto phys = s.phys.begin();
+  for (NodeId y : s.dt_nbrs) {
+    while (phys != s.phys.end() && phys->first < y) ++phys;
+    if (phys != s.phys.end() && phys->first == y) continue;
+    const auto it = s.cand.find(y);
+    if (it == s.cand.end() || !std::isfinite(it->second.cost)) continue;
+    fn(NeighborView{y, it->second.pos, it->second.err, it->second.cost, false, true});
+  }
+}
 
 }  // namespace gdvr::mdt

@@ -20,15 +20,15 @@ MdtView snapshot_overlay(const mdt::MdtOverlay& overlay, const graph::Graph& met
         overlay.active(u) && overlay.net().alive(u) ? 1 : 0;
     view.pos[static_cast<std::size_t>(u)] = overlay.position(u);
     if (!view.alive[static_cast<std::size_t>(u)]) continue;
-    for (const mdt::NeighborView& nv : overlay.neighbor_views(u)) {
-      if (!nv.is_dt || nv.is_phys) continue;
+    overlay.for_each_neighbor(u, [&](const mdt::NeighborView& nv) {
+      if (!nv.is_dt || nv.is_phys) return;
       MdtView::DtNbr d;
       d.id = nv.id;
       d.cost = nv.cost;
       d.path = overlay.virtual_path(u, nv.id);
       if (d.path.size() >= 2 && d.path.front() == u && d.path.back() == nv.id)
         view.dt[static_cast<std::size_t>(u)].push_back(std::move(d));
-    }
+    });
   }
   return view;
 }

@@ -170,8 +170,9 @@ class NetSim {
   const graph::Graph& links() const { return links_; }
   int size() const { return links_.size(); }
 
-  // Handler invoked as (to, from, message) on delivery.
-  void set_receiver(std::function<void(int, int, Message)> handler) {
+  // Handler invoked as (to, from, message) on delivery. The message is
+  // handed over as an rvalue; a receiver taking it by value still binds.
+  void set_receiver(std::function<void(int, int, Message&&)> handler) {
     receiver_ = std::move(handler);
   }
 
@@ -246,6 +247,7 @@ class NetSim {
   // nothing) if the link does not exist or is down, or either endpoint is
   // dead at send time. The transmission is counted at the sender, and every
   // random draw (loss, duplication, delay) comes from the sender's stream.
+  // The message is moved into its delivery; only a duplicate is a copy.
   bool send(int from, int to, Message msg) {
     if (!alive(from) || !alive(to)) return false;
     if (!link_usable(from, to)) return false;
@@ -270,11 +272,11 @@ class NetSim {
       }
     }
     const bool duplicate = dup_prob_ > 0.0 && rng.bernoulli(dup_prob_);
-    deliver(from, to, msg);
     if (duplicate) {
       ++c.duplicated;
-      deliver(from, to, std::move(msg));
+      deliver(from, to, Message(msg));
     }
+    deliver(from, to, std::move(msg));
     return true;
   }
 
@@ -309,7 +311,7 @@ class NetSim {
     return total;
   }
 
-  void deliver(int from, int to, Message msg) {
+  void deliver(int from, int to, Message&& msg) {
     const double delay =
         rng_[static_cast<std::size_t>(from)].uniform(delay_min_, delay_max_) * delay_factor_;
     const std::uint32_t inc = incarnation(to);
@@ -337,7 +339,7 @@ class NetSim {
   double delay_factor_ = 1.0;
   LinkSet down_links_;
   const graph::Graph* loss_etx_ = nullptr;
-  std::function<void(int, int, Message)> receiver_;
+  std::function<void(int, int, Message&&)> receiver_;
 };
 
 }  // namespace gdvr::sim

@@ -1,5 +1,6 @@
 #include "vpod/live_gdv.hpp"
 
+#include <atomic>
 #include <cmath>
 
 namespace gdvr::vpod {
@@ -9,14 +10,20 @@ using mdt::Kind;
 using mdt::NeighborView;
 
 LiveGdv::LiveGdv(mdt::Net& net, Vpod& vpod) : net_(net), vpod_(vpod) {
-  net_.set_receiver([this](NodeId to, NodeId from, Envelope m) { handle(to, from, std::move(m)); });
+  net_.set_receiver(
+      [this](NodeId to, NodeId from, Envelope&& m) { handle(to, from, std::move(m)); });
 }
 
 std::uint64_t LiveGdv::send_packet(NodeId s, NodeId t) {
-  const std::uint64_t id = next_id_++;
-  Delivery d;
+  Delivery& d = packets_.emplace_back();
+  const std::uint64_t id = packets_.size();
   d.sent_at = net_.simulator().now();
-  packets_.emplace(id, d);
+  if (s == t) {
+    // Already at the target: zero transmissions at zero cost, as route_gdv.
+    d.delivered = true;
+    d.delivered_at = d.sent_at;
+    return id;
+  }
 
   Envelope m;
   m.kind = Kind::kData;
@@ -33,8 +40,7 @@ std::uint64_t LiveGdv::send_packet(NodeId s, NodeId t) {
 double LiveGdv::mean_delivered_cost() const {
   double sum = 0.0;
   int n = 0;
-  for (const auto& [id, d] : packets_) {
-    (void)id;
+  for (const Delivery& d : packets_) {
     if (d.delivered) {
       sum += d.cost;
       ++n;
@@ -43,24 +49,21 @@ double LiveGdv::mean_delivered_cost() const {
   return n > 0 ? sum / n : 0.0;
 }
 
-void LiveGdv::handle(NodeId to, NodeId from, Envelope msg) {
+void LiveGdv::handle(NodeId to, NodeId from, Envelope&& msg) {
   if (msg.kind != Kind::kData) {
     vpod_.handle(to, from, std::move(msg));
     return;
   }
   // Account the hop that just happened (forward-direction metric cost).
   msg.accum_cost += net_.link_cost(from, to);
-  auto it = packets_.find(msg.token);
-  if (it != packets_.end()) {
-    ++it->second.transmissions;
-    it->second.cost = msg.accum_cost;
-  }
+  GDVR_ASSERT_MSG(msg.token - 1 < packets_.size(), "data packet from another ledger");
+  Delivery& d = packets_[msg.token - 1];
+  std::atomic_ref<int>(d.transmissions).fetch_add(1, std::memory_order_relaxed);
 
   if (to == msg.target) {
-    if (it != packets_.end()) {
-      it->second.delivered = true;
-      it->second.delivered_at = net_.simulator().now();
-    }
+    d.cost = msg.accum_cost;
+    d.delivered = true;
+    d.delivered_at = net_.simulator().now();
     return;
   }
 
@@ -80,34 +83,42 @@ void LiveGdv::handle(NodeId to, NodeId from, Envelope msg) {
   forward(to, std::move(msg));
 }
 
-void LiveGdv::forward(NodeId u, Envelope msg) {
-  if (msg.ttl-- <= 0) return drop(msg);
+void LiveGdv::forward(NodeId u, Envelope&& msg) {
+  if (msg.ttl-- <= 0) return;
   const auto& overlay = vpod_.overlay();
-  if (!overlay.active(u) || !net_.alive(u)) return drop(msg);
+  if (!overlay.active(u) || !net_.alive(u)) return;
 
   const Vec& tpos = msg.target_pos;
   const double own = overlay.position(u).distance(tpos);
-  const auto views = overlay.neighbor_views(u);
 
   // Lines 1-3 (Fig. 7, right column): DV estimates over P_u ∪ N_u from u's
-  // own knowledge of neighbor positions and costs.
-  const NeighborView* best = nullptr;
+  // own knowledge of neighbor positions and costs. The same pass finds the
+  // physical neighbor closest to the target for the line-5 fallback.
+  NodeId best = -1;
+  bool best_phys = false;
   double best_r = graph::kInf;
-  for (const NeighborView& v : views) {
-    if (!net_.alive(v.id)) continue;  // link layer knows dead neighbors
-    const double r = v.cost + v.pos.distance(tpos);
+  NodeId gbest = -1;
+  double gbest_d = own;
+  overlay.for_each_neighbor(u, [&](const NeighborView& v) {
+    if (!net_.alive(v.id)) return;  // link layer knows dead neighbors
+    const double d = v.pos.distance(tpos);
+    const double r = v.cost + d;
     if (r < best_r) {
       best_r = r;
-      best = &v;
+      best = v.id;
+      best_phys = v.is_phys;
     }
-  }
-  if (best && best_r < own) {
-    if (best->is_phys) {
-      const NodeId next = best->id;
-      (void)net_.send(u, next, std::move(msg));
+    if (v.is_phys && d < gbest_d) {
+      gbest_d = d;
+      gbest = v.id;
+    }
+  });
+  if (best >= 0 && best_r < own) {
+    if (best_phys) {
+      (void)net_.send(u, best, std::move(msg));
       return;
     }
-    const auto& path = overlay.virtual_path(u, best->id);
+    const auto& path = overlay.virtual_path(u, best);
     if (path.size() >= 2) {
       msg.detour = true;
       msg.route = path;
@@ -118,33 +129,21 @@ void LiveGdv::forward(NodeId u, Envelope msg) {
     }
   }
 
-  // Line 5: MDT-greedy fallback on u's local state.
-  const NeighborView* gbest = nullptr;
-  double gbest_d = own;
-  for (const NeighborView& v : views) {
-    if (!v.is_phys || !net_.alive(v.id)) continue;
-    const double d = v.pos.distance(tpos);
-    if (d < gbest_d) {
-      gbest_d = d;
-      gbest = &v;
-    }
-  }
-  if (gbest) {
-    const NodeId next = gbest->id;
-    (void)net_.send(u, next, std::move(msg));
+  // Line 5: MDT-greedy fallback on u's local state, physical hops first.
+  if (gbest >= 0) {
+    (void)net_.send(u, gbest, std::move(msg));
     return;
   }
-  gbest_d = own;
-  for (const NeighborView& v : views) {
-    if (v.is_phys || !v.is_dt) continue;
+  overlay.for_each_neighbor(u, [&](const NeighborView& v) {
+    if (v.is_phys || !v.is_dt) return;
     const double d = v.pos.distance(tpos);
     if (d < gbest_d && overlay.virtual_path(u, v.id).size() >= 2) {
       gbest_d = d;
-      gbest = &v;
+      gbest = v.id;
     }
-  }
-  if (!gbest) return drop(msg);  // local minimum: DT incomplete here
-  const auto& path = overlay.virtual_path(u, gbest->id);
+  });
+  if (gbest < 0) return;  // local minimum: DT incomplete here
+  const auto& path = overlay.virtual_path(u, gbest);
   msg.detour = true;
   msg.route = path;
   msg.route_idx = 0;

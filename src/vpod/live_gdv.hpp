@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "vpod/vpod.hpp"
 
@@ -18,10 +18,14 @@ namespace gdvr::vpod {
 
 class LiveGdv {
  public:
+  // One packet's ledger entry. Under the sharded engine the copies of a
+  // duplicated packet may be held in different lanes at once, so every hop
+  // only adds to `transmissions` (atomically); the other fields are written
+  // at the target, whose lane receives every copy.
   struct Delivery {
     bool delivered = false;
     int transmissions = 0;   // physical hops taken so far / in total
-    double cost = 0.0;       // forward metric cost accumulated
+    double cost = 0.0;       // forward metric cost on arrival at the target
     sim::Time sent_at = 0.0;
     sim::Time delivered_at = 0.0;
   };
@@ -32,17 +36,19 @@ class LiveGdv {
 
   // Injects a data packet at s addressed to t. The destination's current
   // virtual position is stamped into the packet (the role a location
-  // service plays for any geographic protocol). Returns the packet id.
+  // service plays for any geographic protocol). A packet to itself is
+  // delivered on the spot. Returns the packet id; ids are dense from 1.
+  // Call from the global lane (harness code), never from a node's event.
   std::uint64_t send_packet(NodeId s, NodeId t);
 
-  const Delivery& status(std::uint64_t id) const { return packets_.at(id); }
+  // Throws std::out_of_range for an id send_packet never returned (id 0
+  // wraps around to the largest index).
+  const Delivery& status(std::uint64_t id) const { return packets_.at(id - 1); }
   int sent_count() const { return static_cast<int>(packets_.size()); }
   int delivered_count() const {
     int n = 0;
-    for (const auto& [id, d] : packets_) {
-      (void)id;
+    for (const Delivery& d : packets_)
       if (d.delivered) ++n;
-    }
     return n;
   }
   double delivery_rate() const {
@@ -53,15 +59,14 @@ class LiveGdv {
   double mean_delivered_cost() const;
 
  private:
-  void handle(NodeId to, NodeId from, mdt::Envelope msg);
+  void handle(NodeId to, NodeId from, mdt::Envelope&& msg);
   // One GDV forwarding decision at u, using only u's local overlay state.
-  void forward(NodeId u, mdt::Envelope msg);
-  void drop(const mdt::Envelope& msg) { (void)msg; }
+  // Returns without sending when the packet is dropped.
+  void forward(NodeId u, mdt::Envelope&& msg);
 
   mdt::Net& net_;
   Vpod& vpod_;
-  std::map<std::uint64_t, Delivery> packets_;
-  std::uint64_t next_id_ = 1;
+  std::vector<Delivery> packets_;  // packet id - 1 -> ledger entry
 };
 
 }  // namespace gdvr::vpod

@@ -26,7 +26,8 @@ Vpod::Vpod(mdt::Net& net, const VpodConfig& config)
 
 void Vpod::start(NodeId starting_node) {
   starting_node_ = starting_node;
-  net_.set_receiver([this](NodeId to, NodeId from, Envelope msg) { handle(to, from, std::move(msg)); });
+  net_.set_receiver(
+      [this](NodeId to, NodeId from, Envelope&& msg) { handle(to, from, std::move(msg)); });
   receive_token(starting_node, NodeInfo{});
 }
 
@@ -154,11 +155,14 @@ void Vpod::adjustment_tick(NodeId u) {
 
 double Vpod::adjustment_timeout(NodeId u) const {
   if (config_.timeout_mode == VpodConfig::TimeoutMode::kFixed) return config_.fixed_timeout_s;
-  const auto views = overlay_.neighbor_views(u);
-  if (views.empty()) return config_.initial_timeout_s;
   double ebar = 0.0;
-  for (const auto& v : views) ebar += v.err;
-  ebar /= static_cast<double>(views.size());
+  int count = 0;
+  overlay_.for_each_neighbor(u, [&](const mdt::NeighborView& v) {
+    ebar += v.err;
+    ++count;
+  });
+  if (count == 0) return config_.initial_timeout_s;
+  ebar /= static_cast<double>(count);
   if (ebar <= config_.initial_timeout_s / config_.adjust_period_s) return config_.adjust_period_s;
   return std::min(config_.initial_timeout_s / ebar, config_.adjust_period_s);
 }
@@ -167,29 +171,29 @@ double Vpod::adjustment_timeout(NodeId u) const {
 // The Figure 6 adjustment algorithm
 
 void Vpod::adjust(NodeId u) {
-  const auto views = overlay_.neighbor_views(u);
-  if (views.empty()) return;
-  ++adjustments_[static_cast<std::size_t>(u)];
-
   Vec x = overlay_.position(u);
   double eu = overlay_.error(u);
   double esum = 0.0;
+  int count = 0;
 
-  for (const auto& v : views) {
+  overlay_.for_each_neighbor(u, [&](const mdt::NeighborView& v) {
+    ++count;
     const double cost = v.cost;                 // D(u,v): link cost or DT routing cost
     const double dist = std::max(x.distance(v.pos), 1e-9);  // D~(u,v)
     // Line 3: physical neighbors only pull (when the virtual distance
     // overestimates the link cost); multi-hop DT neighbors both push and pull.
     const bool is_multihop_dt = v.is_dt && !v.is_phys;
-    if (!(is_multihop_dt || (v.is_phys && dist > cost))) continue;
+    if (!(is_multihop_dt || (v.is_phys && dist > cost))) return;
 
     const double denom = eu + v.err;
     const double f = config_.use_confidence ? (denom > 0.0 ? eu / denom : 0.0) : 0.5;
     x += config_.cc * f * (cost - dist) * (x - v.pos).unit();
     esum += std::fabs(cost - dist) / dist;
-  }
+  });
+  if (count == 0) return;
+  ++adjustments_[static_cast<std::size_t>(u)];
 
-  const double enew = esum / static_cast<double>(views.size());
+  const double enew = esum / static_cast<double>(count);
   eu = eu * (1.0 - config_.ce) + enew * config_.ce;
   // Line 13: send the updated position and error to all P_u ∪ N_u.
   overlay_.set_position(u, x, eu);

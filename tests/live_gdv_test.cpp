@@ -2,6 +2,9 @@
 // per-node local state.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+
 #include "eval/routing_eval.hpp"
 #include "radio/topology.hpp"
 #include "vpod/live_gdv.hpp"
@@ -108,6 +111,92 @@ TEST(LiveGdv, PacketsToSelfDeliverTrivially) {
   f.sim.run_until(f.sim.now() + 10.0);
   EXPECT_TRUE(f.gdv->status(id).delivered);
   EXPECT_GE(f.gdv->status(id).transmissions, 1);
+}
+
+// route_gdv(view, s, s) succeeds with 0 transmissions; the live plane must
+// agree instead of finding no neighbor closer than distance 0.
+TEST(LiveGdv, PacketToSelfIsDeliveredAtTheSource) {
+  LiveFixture f(40, 9, true, 6);
+  const std::uint64_t before = f.net->total_messages_sent();
+  const double now = f.sim.now();
+  const auto id = f.gdv->send_packet(5, 5);
+  const LiveGdv::Delivery& d = f.gdv->status(id);
+  EXPECT_TRUE(d.delivered);
+  EXPECT_EQ(d.transmissions, 0);
+  EXPECT_EQ(d.cost, 0.0);
+  EXPECT_EQ(d.sent_at, now);
+  EXPECT_EQ(d.delivered_at, d.sent_at);
+  EXPECT_EQ(f.net->total_messages_sent(), before);
+  const auto view = routing::snapshot_overlay(f.vpod->overlay(), f.topo.etx);
+  const auto offline = routing::route_gdv(view, 5, 5);
+  EXPECT_TRUE(offline.success);
+  EXPECT_EQ(offline.transmissions, d.transmissions);
+  EXPECT_EQ(offline.cost, d.cost);
+}
+
+// Ids are dense from 1; anything else is unknown.
+TEST(LiveGdv, StatusOfAnUnknownIdThrows) {
+  LiveFixture f(40, 9, true, 0);
+  EXPECT_THROW(f.gdv->status(0), std::out_of_range);
+  EXPECT_THROW(f.gdv->status(1), std::out_of_range);
+  const auto id = f.gdv->send_packet(0, 1);
+  EXPECT_EQ(id, 1u);
+  EXPECT_NO_THROW(f.gdv->status(id));
+  EXPECT_THROW(f.gdv->status(id + 1), std::out_of_range);
+}
+
+void fnv(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+}
+
+void fnv(std::uint64_t& h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  fnv(h, bits);
+}
+
+// Pins the live data plane bit for bit: a seeded open-loop run of a few
+// thousand packets during the first adjustment period, while positions are
+// still moving and some packets hit local minima, digested per packet. Any
+// change to a forwarding decision, a tie-break, a send's RNG draws or the
+// ledger's bookkeeping moves the digest.
+TEST(LiveGdv, SeededRunLedgerDigestIsPinned) {
+  LiveFixture f(64, 21, /*use_etx=*/true, /*settle_periods=*/0);
+  Rng rng(6);
+  const int n = f.topo.size();
+  const int total = 3000;
+  const double t0 = f.sim.now();
+  const double rate = 300.0;  // packets per simulated second
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < total; ++i) {
+    const int s = rng.uniform_index(n);
+    int t = rng.uniform_index(n - 1);
+    if (t >= s) ++t;
+    f.sim.schedule_at(t0 + i / rate,
+                      [&f, &ids, s, t] { ids.push_back(f.gdv->send_packet(s, t)); });
+  }
+  f.sim.run_until(t0 + total / rate + 30.0);
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(total));
+
+  std::uint64_t h = 14695981039346656037ull;
+  int delivered = 0;
+  for (std::uint64_t id : ids) {
+    const LiveGdv::Delivery& d = f.gdv->status(id);
+    fnv(h, static_cast<std::uint64_t>(d.delivered));
+    fnv(h, static_cast<std::uint64_t>(d.transmissions));
+    fnv(h, d.delivered_at);
+    if (d.delivered) {
+      fnv(h, d.cost);
+      ++delivered;
+    }
+  }
+  fnv(h, f.net->total_messages_sent());
+  EXPECT_GE(delivered, total * 8 / 10);
+  EXPECT_LT(delivered, total);  // the drop path is part of what is pinned
+  EXPECT_EQ(h, 4554728118148610366ull) << "delivered " << delivered << " of " << total;
 }
 
 TEST(LiveGdv, SurvivesMidFlightChurn) {

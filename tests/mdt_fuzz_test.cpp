@@ -111,7 +111,7 @@ struct Fuzzer {
         continue;
       }
       std::set<int> seen;
-      for (const NeighborView& v : overlay->neighbor_views(u)) {
+      overlay->for_each_neighbor(u, [&](const NeighborView& v) {
         EXPECT_NE(v.id, u) << phase;                    // never self
         EXPECT_TRUE(seen.insert(v.id).second) << phase; // no duplicates
         EXPECT_TRUE(std::isfinite(v.cost)) << phase;
@@ -135,7 +135,7 @@ struct Fuzzer {
           }
           EXPECT_NEAR(cost, v.cost, 1e-9) << phase;
         }
-      }
+      });
       EXPECT_LT(overlay->distinct_nodes_stored(u), topo.size()) << phase;
     }
   }

@@ -114,12 +114,49 @@ TEST(Mdt, PhysicalDtNeighborsUseLinkCost) {
   h.start_all();
   h.maintenance_rounds(3);
   for (int u = 0; u < h.topo.size(); ++u) {
-    for (const NeighborView& v : h.overlay->neighbor_views(u)) {
+    h.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
       if (v.is_phys) {
         EXPECT_DOUBLE_EQ(v.cost, h.topo.etx.link_cost(u, v.id));
       }
-    }
+    });
   }
+}
+
+// for_each_neighbor's order contract, which every VPoD and GDV tie-break
+// relies on: P_u by id, then N_u \ P_u by id; is_dt marks exactly the
+// members of N_u; nothing else is visited.
+TEST(Mdt, ForEachNeighborVisitsPhysicalThenDtNeighborsById) {
+  Harness h(60, 21);
+  h.start_all();
+  h.maintenance_rounds(3);
+  int phys_dt = 0, multihop = 0;
+  for (int u = 0; u < h.topo.size(); ++u) {
+    const std::vector<NodeId> dt = h.overlay->dt_neighbors(u);
+    ASSERT_TRUE(std::is_sorted(dt.begin(), dt.end()));
+    const auto& phys = h.overlay->phys_info(u);
+    std::vector<NodeId> want_phys, want_virtual, got_phys, got_virtual;
+    for (const auto& [id, info] : phys) want_phys.push_back(id);
+    for (NodeId y : dt)
+      if (!phys.count(y)) want_virtual.push_back(y);
+    h.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
+      const bool in_dt = std::binary_search(dt.begin(), dt.end(), v.id);
+      EXPECT_EQ(v.is_dt, in_dt) << "node " << u << " neighbor " << v.id;
+      if (v.is_phys) {
+        EXPECT_TRUE(got_virtual.empty()) << "physical neighbor after a multi-hop one";
+        EXPECT_EQ(v.pos, phys.at(v.id).pos);
+        got_phys.push_back(v.id);
+        if (v.is_dt) ++phys_dt;
+      } else {
+        got_virtual.push_back(v.id);
+        ++multihop;
+      }
+    });
+    EXPECT_EQ(got_phys, want_phys) << "node " << u;
+    // Every multi-hop DT neighbor has a finite cost once maintenance ran.
+    EXPECT_EQ(got_virtual, want_virtual) << "node " << u;
+  }
+  EXPECT_GT(phys_dt, 0);
+  EXPECT_GT(multihop, 0);
 }
 
 TEST(Mdt, MultiHopCostsAreValidOverestimates) {
@@ -128,13 +165,13 @@ TEST(Mdt, MultiHopCostsAreValidOverestimates) {
   h.maintenance_rounds(3);
   for (int u = 0; u < h.topo.size(); ++u) {
     const auto sp = graph::dijkstra(h.topo.etx, u);
-    for (const NeighborView& v : h.overlay->neighbor_views(u)) {
-      if (v.is_phys || !v.is_dt) continue;
+    h.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
+      if (v.is_phys || !v.is_dt) return;
       // Recorded cost is the cost of a real path, so it is at least the
       // shortest-path cost (the paper notes over-estimates are fine).
       EXPECT_GE(v.cost, sp.dist[static_cast<std::size_t>(v.id)] - 1e-9);
       EXPECT_LT(v.cost, graph::kInf);
-    }
+    });
   }
 }
 
@@ -144,8 +181,8 @@ TEST(Mdt, VirtualPathsArePhysicallyValid) {
   h.maintenance_rounds(3);
   int multihop = 0;
   for (int u = 0; u < h.topo.size(); ++u) {
-    for (const NeighborView& v : h.overlay->neighbor_views(u)) {
-      if (v.is_phys || !v.is_dt) continue;
+    h.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
+      if (v.is_phys || !v.is_dt) return;
       const auto& path = h.overlay->virtual_path(u, v.id);
       ASSERT_GE(path.size(), 2u);
       EXPECT_EQ(path.front(), u);
@@ -158,7 +195,7 @@ TEST(Mdt, VirtualPathsArePhysicallyValid) {
       }
       EXPECT_NEAR(cost, v.cost, 1e-9);  // recorded cost matches the stored path
       ++multihop;
-    }
+    });
   }
   EXPECT_GT(multihop, 0);  // some multi-hop DT neighbors must exist
 }
@@ -171,10 +208,10 @@ TEST(Mdt, CostAccumulationRespectsAsymmetry) {
   h.maintenance_rounds(3);
   int checked = 0, asymmetric = 0;
   for (int u = 0; u < h.topo.size() && checked < 40; ++u) {
-    for (const NeighborView& v : h.overlay->neighbor_views(u)) {
-      if (v.is_phys || !v.is_dt) continue;
+    h.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
+      if (v.is_phys || !v.is_dt) return;
       const auto& fwd = h.overlay->virtual_path(u, v.id);
-      if (fwd.size() < 3) continue;
+      if (fwd.size() < 3) return;
       double fwd_cost = 0.0, rev_cost = 0.0;
       for (std::size_t i = 0; i + 1 < fwd.size(); ++i) {
         fwd_cost += h.topo.etx.link_cost(fwd[i], fwd[i + 1]);
@@ -185,7 +222,7 @@ TEST(Mdt, CostAccumulationRespectsAsymmetry) {
       EXPECT_NEAR(v.cost, fwd_cost, 1e-9);
       if (fwd_cost != rev_cost) ++asymmetric;
       ++checked;
-    }
+    });
   }
   EXPECT_GT(checked, 0);
   // Some paths consist solely of saturated (PRR = 1) links and are exactly
@@ -230,7 +267,8 @@ TEST(Mdt, SurvivesChurn) {
   // Dead nodes must have disappeared from every survivor's neighbor views.
   for (int u = 0; u < h.topo.size(); ++u) {
     if (!h.net->alive(u)) continue;
-    for (const NeighborView& v : h.overlay->neighbor_views(u)) EXPECT_FALSE(dead.count(v.id));
+    h.overlay->for_each_neighbor(u,
+                                 [&](const NeighborView& v) { EXPECT_FALSE(dead.count(v.id)); });
   }
 }
 

@@ -81,7 +81,7 @@ TEST(ProtocolInternals, NeighborViewsExposeLinkCosts) {
   Line line(5);
   line.start_sequential();
   bool saw1 = false, saw3 = false;
-  for (const NeighborView& v : line.overlay->neighbor_views(2)) {
+  line.overlay->for_each_neighbor(2, [&](const NeighborView& v) {
     if (v.id == 1 || v.id == 3) {
       EXPECT_TRUE(v.is_phys);
       EXPECT_DOUBLE_EQ(v.cost, 1.0);
@@ -92,7 +92,7 @@ TEST(ProtocolInternals, NeighborViewsExposeLinkCosts) {
       EXPECT_FALSE(v.is_phys);
       EXPECT_GE(v.cost, 2.0);
     }
-  }
+  });
   EXPECT_TRUE(saw1);
   EXPECT_TRUE(saw3);
 }
@@ -195,15 +195,15 @@ TEST(ProtocolInternals, StarCreatesMultiHopVirtualLinks) {
 
   int virtual_links = 0;
   for (int u = 1; u <= leaves; ++u) {
-    for (const NeighborView& v : overlay.neighbor_views(u)) {
-      if (v.is_phys || !v.is_dt) continue;
+    overlay.for_each_neighbor(u, [&](const NeighborView& v) {
+      if (v.is_phys || !v.is_dt) return;
       ++virtual_links;
       // The only physical route between leaves goes through the hub.
       const auto& path = overlay.virtual_path(u, v.id);
       ASSERT_EQ(path.size(), 3u);
       EXPECT_EQ(path[1], 0);
       EXPECT_DOUBLE_EQ(v.cost, 2.0);  // two unit links
-    }
+    });
   }
   EXPECT_GT(virtual_links, 0);
 }
@@ -372,11 +372,11 @@ TEST(ProtocolInternals, StaleIncarnationMessageCannotMutateNewLife) {
       NodeInfo{2, Vec{99.0, 99.0}, 0.5, true, /*pos_version=*/1u << 30, old_inc});
   line.overlay->handle(1, 0, gossip);
   line.sim.run_until(line.sim.now() + 2.0);
-  for (const NeighborView& v : line.overlay->neighbor_views(1)) {
+  line.overlay->for_each_neighbor(1, [&](const NeighborView& v) {
     if (v.id == 2) {
       EXPECT_EQ(v.pos, fresh_pos);
     }
-  }
+  });
 }
 
 TEST(ProtocolInternals, SetPositionSameValueKeepsVersion) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "radio/topology.hpp"
 #include "sim/churn.hpp"
 #include "sim/simulator.hpp"
+#include "vpod/live_gdv.hpp"
 
 namespace gdvr {
 namespace {
@@ -385,6 +387,96 @@ TEST(ShardedEngine, ChaosChurnSoakMatchesSerialOracle) {
   expect_counters_equal(serial, four);
   EXPECT_EQ(one.metrics_json, four.metrics_json);
   EXPECT_EQ(serial.metrics_json, one.metrics_json);
+}
+
+// ---------------------------------------------------------------------------
+// Live GDV ledger
+
+void fnv(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+}
+
+void fnv(std::uint64_t& h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  fnv(h, bits);
+}
+
+struct LedgerOutcome {
+  std::uint64_t plain = 0;       // digest of the batch sent without faults
+  std::uint64_t duplicated = 0;  // digest of the batch sent under duplication
+  std::uint64_t sent = 0;
+  std::uint64_t duplicates = 0;
+};
+
+// Converges a VPoD network, then routes two open-loop batches of live GDV
+// packets -- the second with each transmission duplicated with probability
+// 0.2, so two copies of one packet travel through different lanes -- and
+// digests every packet's ledger entry.
+LedgerOutcome run_live_ledger(const radio::Topology& topo, std::uint64_t seed) {
+  vpod::VpodConfig vc;
+  vc.dim = 3;
+  eval::VpodRunner runner(topo, /*use_etx=*/true, vc, {}, seed);
+  runner.run_to_period(4);
+  vpod::LiveGdv live(runner.net(), runner.protocol());
+  sim::Simulator& sim = runner.simulator();
+  Rng rng(seed + 1);
+  const int n = topo.size();
+  auto batch = [&](double dup) {
+    runner.net().set_duplication(dup);
+    const int total = 4000;
+    const double rate = 400.0;  // packets per simulated second
+    const double t0 = sim.now();
+    const std::uint64_t first = static_cast<std::uint64_t>(live.sent_count()) + 1;
+    for (int i = 0; i < total; ++i) {
+      const int s = rng.uniform_index(n);
+      int t = rng.uniform_index(n - 1);
+      if (t >= s) ++t;
+      sim.schedule_at(t0 + i / rate, [&live, s, t] { live.send_packet(s, t); });
+    }
+    sim.run_until(t0 + total / rate + 20.0);
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::uint64_t id = first; id < first + total; ++id) {
+      const vpod::LiveGdv::Delivery& d = live.status(id);
+      fnv(h, static_cast<std::uint64_t>(d.delivered));
+      fnv(h, static_cast<std::uint64_t>(d.transmissions));
+      fnv(h, d.cost);
+      fnv(h, d.sent_at);
+      fnv(h, d.delivered_at);
+    }
+    return h;
+  };
+  LedgerOutcome out;
+  out.plain = batch(0.0);
+  out.duplicated = batch(0.2);
+  out.sent = runner.net().total_messages_sent();
+  out.duplicates = runner.net().messages_duplicated();
+  return out;
+}
+
+// Two copies of a duplicated packet are held by nodes in different lanes at
+// once; the ledger must still come out exactly as on the serial engine.
+TEST(ShardedEngine, LiveLedgerMatchesSerialUnderDuplication) {
+  const radio::Topology topo = small_topo(64, 3001);
+  EnvVar shards("GDVR_SIM_SHARDS", "3");
+  EnvVar threads("GDVR_THREADS", "3");
+  LedgerOutcome serial, sharded;
+  {
+    EnvVar engine("GDVR_SIM_ENGINE", "serial");
+    serial = run_live_ledger(topo, 3001);
+  }
+  {
+    EnvVar engine("GDVR_SIM_ENGINE", "sharded");
+    sharded = run_live_ledger(topo, 3001);
+  }
+  EXPECT_GT(serial.duplicates, 0u);
+  EXPECT_EQ(serial.sent, sharded.sent);
+  EXPECT_EQ(serial.duplicates, sharded.duplicates);
+  EXPECT_EQ(serial.plain, sharded.plain);
+  EXPECT_EQ(serial.duplicated, sharded.duplicated);
 }
 
 }  // namespace

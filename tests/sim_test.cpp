@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "mdt/messages.hpp"
 #include "sim/netsim.hpp"
 #include "sim/simulator.hpp"
 
@@ -422,6 +423,47 @@ TEST(NetSim, DuplicationDeliversTwiceWithIndependentDelays) {
   EXPECT_EQ(received, 200);
   EXPECT_EQ(net.messages_duplicated(), 100u);
   EXPECT_EQ(net.total_messages_sent(), 100u);  // duplicates are not "sent"
+}
+
+// send() moves the message into its delivery and copies it only for the
+// duplicate: both arrivals must carry the whole payload, neither of them a
+// moved-from husk.
+TEST(NetSim, DuplicateCarriesTheWholeEnvelope) {
+  Simulator sim;
+  graph::Graph g(2);
+  g.add_bidirectional(0, 1, 1.0, 1.0);
+  NetSim<mdt::Envelope> net(sim, g, 0.001, 0.002, 95);
+  net.set_duplication(1.0);
+  mdt::Envelope m;
+  m.kind = mdt::Kind::kNbrSetReply;
+  m.origin = 0;
+  m.target = 1;
+  m.origin_info = mdt::NodeInfo{0, Vec{1.0, 2.0, 3.0}, 0.25, true, 7, 1};
+  m.route = {0, 1, 4, 9};
+  m.route_idx = 1;
+  m.accum_cost = 3.5;
+  for (int i = 0; i < 20; ++i)
+    m.nbr_infos.push_back(mdt::NodeInfo{i, Vec{0.5 * i, -1.0 * i, 2.0}, 0.01 * i, i % 2 == 0,
+                                        static_cast<std::uint64_t>(i), 0});
+  std::vector<mdt::Envelope> got;
+  net.set_receiver([&](int, int, mdt::Envelope&& e) { got.push_back(std::move(e)); });
+  ASSERT_TRUE(net.send(0, 1, m));
+  sim.run_all();
+  ASSERT_EQ(got.size(), 2u);
+  for (const mdt::Envelope& e : got) {
+    EXPECT_EQ(e.kind, m.kind);
+    EXPECT_EQ(e.origin_info.pos, m.origin_info.pos);
+    EXPECT_EQ(e.route, m.route);
+    EXPECT_EQ(e.route_idx, m.route_idx);
+    EXPECT_EQ(e.accum_cost, m.accum_cost);
+    ASSERT_EQ(e.nbr_infos.size(), m.nbr_infos.size());
+    for (std::size_t i = 0; i < m.nbr_infos.size(); ++i) {
+      EXPECT_EQ(e.nbr_infos[i].id, m.nbr_infos[i].id);
+      EXPECT_EQ(e.nbr_infos[i].pos, m.nbr_infos[i].pos);
+      EXPECT_EQ(e.nbr_infos[i].pos_version, m.nbr_infos[i].pos_version);
+    }
+  }
+  EXPECT_EQ(net.messages_duplicated(), 1u);
 }
 
 TEST(NetSim, DelayFactorStretchesDeliveryTimes) {
