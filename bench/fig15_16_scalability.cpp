@@ -17,7 +17,6 @@
 
 #include "common.hpp"
 #include "common/parallel.hpp"
-#include "graph/csr.hpp"
 #include "routing/mdt_view.hpp"
 
 using namespace gdvr;
@@ -49,7 +48,7 @@ struct Trial {
   double nst = 0, mst = 0, g2st = 0, g3st = 0, gsr = 0, nsr = 0;
 };
 
-// Large-N smoke: drives the topology -> CSR -> all-pairs pipeline at sizes
+// Large-N smoke: drives the topology -> all-pairs pipeline at sizes
 // far beyond the paper's sweep (area still scaled for degree 14.5). No
 // figures -- this exists to prove the pipeline completes and to show its
 // wall-clock scaling. Sources for the all-pairs sweep are capped so the
@@ -60,32 +59,27 @@ void large_smoke() {
     return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
   };
   std::printf("Large-N pipeline smoke | avg degree 14.5\n");
-  std::printf("%6s %10s %10s %8s %10s %12s\n", "N", "gen_ms", "degree", "edges",
-              "csr_ms", "sssp_ms/src");
+  std::printf("%6s %10s %10s %8s %12s\n", "N", "gen_ms", "degree", "edges", "sssp_ms/src");
   for (const int n : {2000, 5000}) {
     auto t0 = clock::now();
     const radio::Topology topo = paper_topology(n, 97);
     const double gen_ms = ms_since(t0);
 
-    t0 = clock::now();
-    const graph::CsrGraph csr(topo.etx);
-    const double csr_ms = ms_since(t0);
-
     // Shortest-path trees from a capped number of sources (the all-pairs
     // kernel, sampled): enough to exercise the parallel sweep end to end.
-    const int sources = std::min(csr.size(), 200);
+    const int sources = std::min(topo.size(), 200);
     t0 = clock::now();
     graph::DijkstraWorkspace ws;
     double reach = 0.0;
     for (int s = 0; s < sources; ++s) {
-      const auto& sp = graph::dijkstra(csr, s, ws);
+      const auto& sp = graph::dijkstra(topo.etx, s, ws);
       for (const double d : sp.dist) reach += d < graph::kInf ? 1.0 : 0.0;
     }
     const double sssp_ms = ms_since(t0) / sources;
     GDVR_ASSERT(reach > 0.0);
 
-    std::printf("%6d %10.1f %10.2f %8zu %10.1f %12.3f\n", topo.size(), gen_ms,
-                topo.etx.average_degree(), csr.edge_count(), csr_ms, sssp_ms);
+    std::printf("%6d %10.1f %10.2f %8zu %12.3f\n", topo.size(), gen_ms,
+                topo.etx.average_degree(), topo.etx.edge_count(), sssp_ms);
   }
 }
 

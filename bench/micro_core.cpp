@@ -18,7 +18,6 @@
 #include "geom/delaunay.hpp"
 #include "geom/predicates.hpp"
 #include "routing/distance_vector.hpp"
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "mdt/messages.hpp"
 #include "radio/topology.hpp"
@@ -235,36 +234,21 @@ BENCHMARK(BM_MdtGreedyRoute);
 
 void BM_Dijkstra(benchmark::State& state) {
   static const RoutingFixture fx;
-  Rng rng(13);
-  for (auto _ : state) {
-    const int s = rng.uniform_index(fx.topo.size());
-    benchmark::DoNotOptimize(graph::dijkstra(fx.topo.etx, s).dist.size());
-  }
-}
-BENCHMARK(BM_Dijkstra);
-
-// Same workload as BM_Dijkstra but over the frozen CSR snapshot -- the
-// representation every all-pairs sweep and routing hot loop actually uses.
-void BM_CsrDijkstra(benchmark::State& state) {
-  static const RoutingFixture fx;
-  static const graph::CsrGraph csr(fx.topo.etx);
   graph::DijkstraWorkspace ws;
   Rng rng(13);
   for (auto _ : state) {
     const int s = rng.uniform_index(fx.topo.size());
-    benchmark::DoNotOptimize(graph::dijkstra(csr, s, ws).dist.size());
+    benchmark::DoNotOptimize(graph::dijkstra(fx.topo.etx, s, ws).dist.size());
   }
 }
-BENCHMARK(BM_CsrDijkstra);
+BENCHMARK(BM_Dijkstra);
 
-// Full cost-matrix build (freeze + parallel all-pairs Dijkstra), the backbone
-// of the embedding-quality and ETX-stretch analyses.
+// Full cost-matrix build (parallel all-pairs Dijkstra), the backbone of the
+// embedding-quality and ETX-stretch analyses.
 void BM_AllPairsDistances(benchmark::State& state) {
   static const RoutingFixture fx;
-  for (auto _ : state) {
-    const graph::CsrGraph csr(fx.topo.etx);
-    benchmark::DoNotOptimize(graph::all_pairs_distances(csr).size());
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(graph::all_pairs_distances(fx.topo.etx).size());
 }
 BENCHMARK(BM_AllPairsDistances)->Unit(benchmark::kMillisecond);
 

@@ -53,6 +53,10 @@ if [[ "$RELEASE" == 1 ]]; then
   # message-count equality against the serial oracle (the GDVR_ASSERTs in
   # the sweep); the wall-clock columns surface gross engine regressions.
   ./build-rel/bench/fig15_16_scalability --engine-sweep --smoke
+  echo "== large-N pipeline smoke (generation + Dijkstra at N = 2000/5000, Release) =="
+  # The only N = 2000/5000 run of topology generation and Dijkstra; its
+  # GDVR_ASSERTs and the graph constructor's checks gate the graph substrate.
+  ./build-rel/bench/fig15_16_scalability --large
   echo "== end-to-end benchmark self-test =="
   # Builds perfbench/ against this checkout's src/ and runs every workload
   # tiny, so a src/ change that breaks the benchmark fails here.
@@ -90,7 +94,6 @@ echo "== churn soak (plain build) =="
 ctest --test-dir build -L soak --output-on-failure
 
 for san in address undefined; do
-  dir="build-${san:0:1}san"
   [[ "$san" == address ]] && dir=build-asan || dir=build-ubsan
   echo "== tier-1 under ${san} sanitizer (${dir}) =="
   configure_and_build "$dir" -DGDVR_SANITIZE="$san"

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "graph/csr.hpp"
 
 namespace gdvr::analysis {
 
@@ -56,9 +55,9 @@ EmbeddingQuality embedding_quality(std::span<const Vec> positions, const Matrix&
 Matrix cost_matrix(const graph::Graph& g) {
   const int n = g.size();
   Matrix m(n, n);
-  // All-pairs Dijkstra over a frozen CSR snapshot, fanned over GDVR_THREADS
-  // workers; the result is bit-identical at any thread count.
-  const std::vector<double> dist = graph::all_pairs_distances(graph::CsrGraph(g));
+  // All-pairs Dijkstra fanned over GDVR_THREADS workers; the result is
+  // bit-identical at any thread count.
+  const std::vector<double> dist = graph::all_pairs_distances(g);
   for (int src = 0; src < n; ++src)
     for (int dst = 0; dst < n; ++dst)
       m.at(src, dst) = dist[static_cast<std::size_t>(src) * static_cast<std::size_t>(n) +

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "graph/csr.hpp"
-
 namespace gdvr::eval {
 
 std::vector<std::pair<int, int>> sample_pairs(const std::vector<int>& eligible, int count,
@@ -74,12 +72,9 @@ RoutingStats evaluate_router(const RouteFn& route, const graph::Graph& metric,
   if (pairs.empty()) return stats;
 
   // Cache optimal distances per source (hops for stretch, ETX for optimal
-  // transmissions). The per-source trees run over a frozen CSR snapshot of
-  // the metric graph -- one flat copy up front, contiguous adjacency for the
-  // many Dijkstra sweeps that follow.
+  // transmissions).
   std::map<int, std::vector<int>> hop_cache;
   std::map<int, std::vector<double>> etx_cache;
-  const graph::CsrGraph metric_csr(metric);
   graph::DijkstraWorkspace dijkstra_ws;
 
   double stretch_sum = 0.0, tx_sum = 0.0, opt_sum = 0.0;
@@ -89,7 +84,7 @@ RoutingStats evaluate_router(const RouteFn& route, const graph::Graph& metric,
     if (use_etx) {
       auto it = etx_cache.find(s);
       if (it == etx_cache.end())
-        it = etx_cache.emplace(s, graph::dijkstra(metric_csr, s, dijkstra_ws).dist).first;
+        it = etx_cache.emplace(s, graph::dijkstra(metric, s, dijkstra_ws).dist).first;
       const double opt = it->second[static_cast<std::size_t>(t)];
       if (opt < graph::kInf) {
         opt_sum += opt;

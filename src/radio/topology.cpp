@@ -418,24 +418,6 @@ struct LinkRealizer {
   }
 };
 
-// Reusable per-thread buffers for generate()'s large transient arrays (the
-// admitted-pair lists and the flat edge runs). Topology generation is called
-// in tight loops (power calibration, benchmarks, scalability sweeps); letting
-// these megabyte-scale vectors survive between calls keeps glibc from
-// mmap/munmap-ing them every generation, which otherwise costs a fresh page
-// fault per 4 KiB touched -- measurably more than the link math itself.
-// Worker threads each get their own scratch; a few MB per thread stays
-// resident, which is fine for a simulator.
-struct GenScratch {
-  std::vector<PairDraw> draws;
-  std::vector<graph::Edge> fe, fh, ft, fn;  // flat per-metric edge runs
-};
-
-GenScratch& gen_scratch() {
-  static thread_local GenScratch s;
-  return s;
-}
-
 // Uniform spatial grid over the placement box. Cells are at least
 // d_max / 2 on a side (capped so the cell count stays O(n)); a node's
 // candidate partners all live within `range` cells per axis, where
@@ -491,20 +473,16 @@ void realize_and_assemble(const TopologyConfig& config, Topology& topo,
   LinkRealizer realizer;
   realizer.init(config, topo.positions, topo.obstacles, hw);
 
-  GenScratch& scratch = gen_scratch();
   // Admitted pairs in (i, j) order, as a list of chunks (the parallel sweep
   // produces one list per row chunk; gluing them would just copy megabytes,
   // so the assembly passes below iterate the chunks in place).
   std::vector<std::vector<PairDraw>> chunk_links;
-  std::vector<const std::vector<PairDraw>*> parts;
   if (config.link_scan == LinkScanMode::kAllPairs) {
-    std::vector<PairDraw>& draws = scratch.draws;
-    draws.clear();
+    std::vector<PairDraw>& draws = chunk_links.emplace_back();
     PairDraw rec;
     for (int i = 0; i < n; ++i)
       for (int j = i + 1; j < n; ++j)
         if (realizer.realize(i, j, rec)) draws.push_back(rec);
-    parts.push_back(&draws);
   } else {
     const SpatialGrid grid(topo.positions, extent, realizer.d_max);
     // Fan row chunks over the worker pool. Chunk boundaries are fixed (not
@@ -562,58 +540,45 @@ void realize_and_assemble(const TopologyConfig& config, Topology& topo,
       return out;
     });
     chunk_links = std::move(result);
-    for (const auto& chunk : chunk_links) parts.push_back(&chunk);
   }
 
-  // Counting-sort the directed edges into per-node runs, then hand each run
-  // to the graphs in one bulk assignment. The per-node edge order is exactly
-  // the order a per-link add_bidirectional loop would have produced. The
-  // exact PRR/ETX chain (finish()) runs inside the scatter pass: iterations
-  // are independent, so the expensive exp calls of neighboring links overlap,
-  // and the per-link metric record never round-trips through memory.
-  topo.etx = graph::Graph(n);
-  topo.hops = graph::Graph(n);
-  topo.ett = graph::Graph(n);
-  topo.energy = graph::Graph(n);
+  // Counting-sort the directed edges into per-node runs: the CSR arrays the
+  // graphs take over. The per-node edge order is exactly the order a
+  // per-link add_bidirectional loop would have produced (ascending by
+  // target). The exact PRR/ETX chain (finish()) runs inside the scatter
+  // pass: iterations are independent, so the expensive exp calls of
+  // neighboring links overlap, and the per-link metric record never
+  // round-trips through memory.
   {
     const std::size_t nn = static_cast<std::size_t>(n);
     std::vector<std::size_t> off(nn + 1, 0);
-    for (const auto* part : parts)
-      for (const PairDraw& d : *part) {
+    for (const auto& chunk : chunk_links)
+      for (const PairDraw& d : chunk) {
         ++off[static_cast<std::size_t>(d.i) + 1];
         ++off[static_cast<std::size_t>(d.j) + 1];
       }
     for (std::size_t u = 0; u < nn; ++u) off[u + 1] += off[u];
     const std::size_t m = off[nn];
-    std::vector<graph::Edge>&fe = scratch.fe, &fh = scratch.fh, &ft = scratch.ft,
-                            &fn = scratch.fn;
-    fe.resize(m);
-    fh.resize(m);
-    ft.resize(m);
-    fn.resize(m);
+    std::vector<graph::Edge> fe(m), fh(m), ft(m), fn(m);
     std::vector<std::size_t> cur(off.begin(), off.end() - 1);
-    for (const auto* part : parts)
-    for (const PairDraw& d : *part) {
-      const LinkRec r = realizer.finish(d);
-      const std::size_t a = cur[static_cast<std::size_t>(r.i)]++;
-      fe[a] = {r.j, r.etx_ij};
-      fh[a] = {r.j, 1.0};
-      ft[a] = {r.j, r.ett_ij};
-      fn[a] = {r.j, r.en_ij};
-      const std::size_t b = cur[static_cast<std::size_t>(r.j)]++;
-      fe[b] = {r.i, r.etx_ji};
-      fh[b] = {r.i, 1.0};
-      ft[b] = {r.i, r.ett_ji};
-      fn[b] = {r.i, r.en_ji};
-    }
-    for (int u = 0; u < n; ++u) {
-      const std::size_t lo = off[static_cast<std::size_t>(u)];
-      const std::size_t k = off[static_cast<std::size_t>(u) + 1] - lo;
-      topo.etx.assign_neighbors_unchecked(u, {fe.data() + lo, k});
-      topo.hops.assign_neighbors_unchecked(u, {fh.data() + lo, k});
-      topo.ett.assign_neighbors_unchecked(u, {ft.data() + lo, k});
-      topo.energy.assign_neighbors_unchecked(u, {fn.data() + lo, k});
-    }
+    for (const auto& chunk : chunk_links)
+      for (const PairDraw& d : chunk) {
+        const LinkRec r = realizer.finish(d);
+        const std::size_t a = cur[static_cast<std::size_t>(r.i)]++;
+        fe[a] = {r.j, r.etx_ij};
+        fh[a] = {r.j, 1.0};
+        ft[a] = {r.j, r.ett_ij};
+        fn[a] = {r.j, r.en_ij};
+        const std::size_t b = cur[static_cast<std::size_t>(r.j)]++;
+        fe[b] = {r.i, r.etx_ji};
+        fh[b] = {r.i, 1.0};
+        ft[b] = {r.i, r.ett_ji};
+        fn[b] = {r.i, r.en_ji};
+      }
+    topo.etx = graph::Graph(off, std::move(fe));
+    topo.hops = graph::Graph(off, std::move(fh));
+    topo.ett = graph::Graph(off, std::move(ft));
+    topo.energy = graph::Graph(std::move(off), std::move(fn));
   }
 
   if (config.restrict_to_largest_component) {
@@ -840,21 +805,18 @@ Topology make_grid(int rows, int cols, double spacing_m, double connect_radius_f
     for (int c = 0; c < cols; ++c)
       topo.positions.push_back(Vec{static_cast<double>(c) * spacing_m,
                                    static_cast<double>(r) * spacing_m});
-  topo.etx = graph::Graph(n);
-  topo.hops = graph::Graph(n);
-  topo.ett = graph::Graph(n);
-  topo.energy = graph::Graph(n);
+  // Every metric is unit cost on a grid, so the four graphs are one.
+  graph::GraphBuilder links(n);
   const double radius = connect_radius_factor * spacing_m * 1.0001;
   for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j) {
+    for (int j = i + 1; j < n; ++j)
       if (topo.positions[static_cast<std::size_t>(i)].distance(
-              topo.positions[static_cast<std::size_t>(j)]) <= radius) {
-        topo.etx.add_bidirectional(i, j, 1.0, 1.0);
-        topo.hops.add_bidirectional(i, j, 1.0, 1.0);
-        topo.ett.add_bidirectional(i, j, 1.0, 1.0);
-        topo.energy.add_bidirectional(i, j, 1.0, 1.0);
-      }
-    }
+              topo.positions[static_cast<std::size_t>(j)]) <= radius)
+        links.add_bidirectional(i, j, 1.0, 1.0);
+  topo.etx = links.build();
+  topo.hops = topo.etx;
+  topo.ett = topo.etx;
+  topo.energy = topo.etx;
   return topo;
 }
 

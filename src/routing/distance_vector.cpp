@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "obs/trace.hpp"
 
@@ -134,13 +133,11 @@ RouteResult DistanceVector::route(NodeId s, NodeId t) const {
 }
 
 bool DistanceVector::converged() const {
-  // Freeze the link graph once; the ground-truth check runs one Dijkstra per
-  // alive node over the same adjacency.
-  const graph::CsrGraph links(net_.links());
+  // The ground-truth check runs one Dijkstra per alive node.
   graph::DijkstraWorkspace ws;
   for (NodeId u = 0; u < net_.size(); ++u) {
     if (!net_.alive(u)) continue;
-    const auto& sp = graph::dijkstra(links, u, ws);
+    const auto& sp = graph::dijkstra(net_.links(), u, ws);
     for (NodeId t = 0; t < net_.size(); ++t) {
       if (!net_.alive(t)) continue;
       const double truth = sp.dist[static_cast<std::size_t>(t)];

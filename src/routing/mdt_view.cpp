@@ -11,7 +11,6 @@ MdtView snapshot_overlay(const mdt::MdtOverlay& overlay, const graph::Graph& met
   MdtView view;
   const int n = metric.size();
   view.metric = &metric;
-  view.phys = graph::CsrGraph(metric);
   view.pos.resize(static_cast<std::size_t>(n));
   view.dt.resize(static_cast<std::size_t>(n));
   view.alive.resize(static_cast<std::size_t>(n), 1);
@@ -39,24 +38,22 @@ MdtView centralized_mdt(std::span<const Vec> positions, const graph::Graph& metr
   const int n = metric.size();
   GDVR_ASSERT(static_cast<int>(positions.size()) == n);
   view.metric = &metric;
-  view.phys = graph::CsrGraph(metric);
   view.pos.assign(positions.begin(), positions.end());
   view.dt.resize(static_cast<std::size_t>(n));
   view.alive.assign(static_cast<std::size_t>(n), 1);
 
   const geom::DelaunayGraph dtg = geom::delaunay_graph(positions);
   // Sources that own at least one non-physical DT edge need a shortest-path
-  // tree to extract virtual-link paths and costs. Both the has_edge probes
-  // and the per-source trees run over the frozen CSR snapshot.
+  // tree to extract virtual-link paths and costs.
   graph::DijkstraWorkspace ws;
   for (int u = 0; u < n; ++u) {
     bool needs_tree = false;
     for (int v : dtg.nbrs[static_cast<std::size_t>(u)])
-      if (!view.phys.has_edge(u, v)) needs_tree = true;
+      if (!metric.has_edge(u, v)) needs_tree = true;
     if (!needs_tree) continue;
-    const graph::ShortestPaths& sp = graph::dijkstra(view.phys, u, ws);
+    const graph::ShortestPaths& sp = graph::dijkstra(metric, u, ws);
     for (int v : dtg.nbrs[static_cast<std::size_t>(u)]) {
-      if (view.phys.has_edge(u, v)) continue;
+      if (metric.has_edge(u, v)) continue;
       if (sp.dist[static_cast<std::size_t>(v)] == graph::kInf) continue;
       MdtView::DtNbr d;
       d.id = v;

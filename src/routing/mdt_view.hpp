@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/vec.hpp"
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "mdt/overlay.hpp"
 
@@ -27,12 +26,9 @@ struct MdtView {
   };
 
   std::vector<Vec> pos;              // per-node positions (virtual or actual)
-  const graph::Graph* metric = nullptr;  // physical links with metric costs
-  // Frozen CSR snapshot of *metric, built once by the producers. The routers
-  // walk adjacency and probe link costs on every forwarding decision; the
-  // flat sorted layout keeps those inner loops contiguous and makes the
-  // per-hop link_cost probe a binary search.
-  graph::CsrGraph phys;
+  // Physical links with metric costs; the routers walk it, so the graph
+  // handed to a producer must outlive the view.
+  const graph::Graph* metric = nullptr;
   std::vector<std::vector<DtNbr>> dt;    // per-node multi-hop DT neighbors
   std::vector<char> alive;
 

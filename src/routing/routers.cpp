@@ -10,11 +10,8 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-// One physical hop; returns false if the link is missing. Works over either
-// adjacency representation (the MdtView routers forward over the frozen CSR
-// snapshot; NADV/GPSR take the caller's Graph directly).
-template <typename MetricT>
-bool take_link(const MetricT& metric, RouteResult& res, int from, int to) {
+// One physical hop; returns false if the link is missing.
+bool take_link(const graph::Graph& metric, RouteResult& res, int from, int to) {
   const double c = metric.link_cost(from, to);
   if (!(c < graph::kInf)) return false;
   if (res.path.empty()) res.path.push_back(from);
@@ -31,7 +28,7 @@ int traverse_path(const MdtView& view, RouteResult& res, const std::vector<int>&
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const int a = path[i], b = path[i + 1];
     if (!view.is_alive(b)) return -1;
-    if (!take_link(view.phys, res, a, b)) return -1;
+    if (!take_link(*view.metric, res, a, b)) return -1;
     obs::trace_hop(a, b, obs::HopMode::kRelay, 0.0);
     if (b == t) return t;
   }
@@ -51,7 +48,7 @@ int mdt_greedy_step(const MdtView& view, RouteResult& res, int cur, int t,
   const double own = view.pos[static_cast<std::size_t>(cur)].distance(tp);
   int best_phys = -1;
   double best_d = own;
-  for (const graph::Edge& e : view.phys.neighbors(cur)) {
+  for (const graph::Edge& e : view.metric->neighbors(cur)) {
     if (!view.is_alive(e.to)) continue;
     const double d = view.pos[static_cast<std::size_t>(e.to)].distance(tp);
     if (d < best_d) {
@@ -60,7 +57,7 @@ int mdt_greedy_step(const MdtView& view, RouteResult& res, int cur, int t,
     }
   }
   if (best_phys >= 0) {
-    if (!take_link(view.phys, res, cur, best_phys)) return -1;
+    if (!take_link(*view.metric, res, cur, best_phys)) return -1;
     obs::trace_hop(cur, best_phys, mode, own);
     return best_phys;
   }
@@ -98,8 +95,7 @@ bool segment_cross(const Vec& a, const Vec& b, const Vec& c, const Vec& d, Vec& 
 // after a greedy failure. Exits back to the caller (returning the node id)
 // as soon as some node is strictly closer to t than the entry point; returns
 // -1 on failure (perimeter loop or disconnection).
-template <typename MetricT>
-int perimeter_mode(std::span<const Vec> pos, const MetricT& metric,
+int perimeter_mode(std::span<const Vec> pos, const graph::Graph& metric,
                    const PlanarGraph& planar, RouteResult& res, int cur, int t,
                    int budget) {
   const Vec& tp = pos[static_cast<std::size_t>(t)];
@@ -150,7 +146,7 @@ int perimeter_mode(std::span<const Vec> pos, const MetricT& metric,
 RouteResult route_gdv(const MdtView& view, int s, int t) {
   RouteResult res;
   obs::PacketTrace trace(s, t, &res.success);
-  const graph::CsrGraph& metric = view.phys;
+  const graph::Graph& metric = *view.metric;
   const Vec& tp = view.pos[static_cast<std::size_t>(t)];
   const int budget = transmission_budget(view);
   int cur = s;
@@ -205,7 +201,7 @@ RouteResult route_gdv(const MdtView& view, int s, int t) {
 RouteResult route_gdv_basic(const MdtView& view, int s, int t, const PlanarGraph* recovery) {
   RouteResult res;
   obs::PacketTrace trace(s, t, &res.success);
-  const graph::CsrGraph& metric = view.phys;
+  const graph::Graph& metric = *view.metric;
   const Vec& tp = view.pos[static_cast<std::size_t>(t)];
   const int budget = transmission_budget(view);
   int cur = s;

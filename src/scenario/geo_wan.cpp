@@ -134,17 +134,17 @@ radio::Topology make_geo_wan(const GeoWanConfig& config) {
     topo.positions.push_back(Vec{(lon[i] - config.lon_min) * kx,
                                  (lat[i] - config.lat_min) * ky});
 
-  topo.etx = graph::Graph(config.n);
-  topo.hops = graph::Graph(config.n);
-  topo.ett = graph::Graph(config.n);
-  topo.energy = graph::Graph(config.n);
+  // ETX and energy both carry the great-circle distance, ETT its delay.
+  graph::GraphBuilder km(config.n), ms(config.n);
   for (const Edge& e : candidates) {
-    topo.etx.add_bidirectional(e.i, e.j, e.km, e.km);
-    topo.hops.add_bidirectional(e.i, e.j, 1.0, 1.0);
-    const double ms = e.km / kKmPerMs;
-    topo.ett.add_bidirectional(e.i, e.j, ms, ms);
-    topo.energy.add_bidirectional(e.i, e.j, e.km, e.km);
+    km.add_bidirectional(e.i, e.j, e.km, e.km);
+    const double delay = e.km / kKmPerMs;
+    ms.add_bidirectional(e.i, e.j, delay, delay);
   }
+  topo.etx = km.build();
+  topo.hops = topo.etx.with_unit_costs();
+  topo.ett = ms.build();
+  topo.energy = topo.etx;
 
   if (config.restrict_to_largest_component) {
     const std::vector<int> keep_ids = graph::largest_component(topo.etx);

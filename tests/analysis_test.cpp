@@ -159,9 +159,10 @@ TEST(Embedding, CollapsedGlobalStructureShowsInGlobalError) {
 }
 
 TEST(Embedding, CostMatrixMatchesDijkstra) {
-  graph::Graph g(4);
-  g.add_bidirectional(0, 1, 1.0, 2.0);
-  g.add_bidirectional(1, 2, 3.0, 3.0);
+  graph::GraphBuilder gb(4);
+  gb.add_bidirectional(0, 1, 1.0, 2.0);
+  gb.add_bidirectional(1, 2, 3.0, 3.0);
+  const graph::Graph g = gb.build();
   const Matrix m = cost_matrix(g);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(m.at(0, 2), 4.0);

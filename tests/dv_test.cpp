@@ -26,9 +26,9 @@ struct Fixture {
 };
 
 TEST(DistanceVector, LineConverges) {
-  graph::Graph g(5);
-  for (int i = 0; i + 1 < 5; ++i) g.add_bidirectional(i, i + 1, 2.0, 2.0);
-  Fixture f(std::move(g));
+  graph::GraphBuilder gb(5);
+  for (int i = 0; i + 1 < 5; ++i) gb.add_bidirectional(i, i + 1, 2.0, 2.0);
+  Fixture f(gb.build());
   f.settle();
   EXPECT_TRUE(f.dv->converged());
   EXPECT_DOUBLE_EQ(f.dv->cost(0, 4), 8.0);
@@ -37,14 +37,14 @@ TEST(DistanceVector, LineConverges) {
 }
 
 TEST(DistanceVector, RespectsAsymmetricCosts) {
-  graph::Graph g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 0, 5.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(2, 1, 1.0);
-  g.add_edge(0, 2, 10.0);
-  g.add_edge(2, 0, 1.5);
-  Fixture f(std::move(g));
+  graph::GraphBuilder gb(3);
+  gb.add_edge(0, 1, 1.0);
+  gb.add_edge(1, 0, 5.0);
+  gb.add_edge(1, 2, 1.0);
+  gb.add_edge(2, 1, 1.0);
+  gb.add_edge(0, 2, 10.0);
+  gb.add_edge(2, 0, 1.5);
+  Fixture f(gb.build());
   f.settle();
   EXPECT_TRUE(f.dv->converged());
   EXPECT_DOUBLE_EQ(f.dv->cost(0, 2), 2.0);   // 0->1->2
@@ -213,10 +213,10 @@ TEST(DistanceVector, DeltaMatchesFullUnderMessageLoss) {
 }
 
 TEST(DistanceVector, UnreachableStaysInf) {
-  graph::Graph g(4);
-  g.add_bidirectional(0, 1, 1, 1);
-  g.add_bidirectional(2, 3, 1, 1);
-  Fixture f(std::move(g));
+  graph::GraphBuilder gb(4);
+  gb.add_bidirectional(0, 1, 1, 1);
+  gb.add_bidirectional(2, 3, 1, 1);
+  Fixture f(gb.build());
   f.settle(30.0);
   EXPECT_EQ(f.dv->cost(0, 2), graph::kInf);
   EXPECT_FALSE(f.dv->route(0, 3).success);

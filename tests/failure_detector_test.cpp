@@ -105,15 +105,15 @@ struct Star {
   int leaves;
 
   explicit Star(int leaf_count) : leaves(leaf_count) {
-    graph::Graph g(leaves + 1);
+    graph::GraphBuilder gb(leaves + 1);
     topo.positions.push_back(Vec{0.0, 0.0});
     for (int i = 0; i < leaves; ++i) {
       const double angle = 2.0 * 3.14159265358979 * i / leaves;
       topo.positions.push_back(Vec{std::cos(angle), std::sin(angle)});
-      g.add_bidirectional(0, i + 1, 1.0, 1.0);
+      gb.add_bidirectional(0, i + 1, 1.0, 1.0);
     }
-    topo.etx = g;
-    topo.hops = g.with_unit_costs();
+    topo.etx = gb.build();
+    topo.hops = topo.etx.with_unit_costs();
     net = std::make_unique<Net>(sim, topo.etx, 0.01, 0.1, 3);
     MdtConfig mc;
     mc.dim = 2;

@@ -28,9 +28,9 @@ struct World {
 
   explicit World(int n, const std::vector<std::pair<int, int>>& edges)
       : g([&] {
-          graph::Graph gg(n);
-          for (const auto& [u, v] : edges) gg.add_bidirectional(u, v, 1.0, 1.0);
-          return gg;
+          graph::GraphBuilder gb(n);
+          for (const auto& [u, v] : edges) gb.add_bidirectional(u, v, 1.0, 1.0);
+          return gb.build();
         }()),
         net(sim, g, 0.01, 0.05, 7),
         edge_list(edges) {}

@@ -19,11 +19,11 @@ struct Line {
 
   explicit Line(int n) {
     topo.positions.clear();
-    graph::Graph g(n);
+    graph::GraphBuilder gb(n);
     for (int i = 0; i < n; ++i) topo.positions.push_back(Vec{static_cast<double>(i), 0.0});
-    for (int i = 0; i + 1 < n; ++i) g.add_bidirectional(i, i + 1, 1.0, 1.0);
-    topo.etx = g;
-    topo.hops = g.with_unit_costs();
+    for (int i = 0; i + 1 < n; ++i) gb.add_bidirectional(i, i + 1, 1.0, 1.0);
+    topo.etx = gb.build();
+    topo.hops = topo.etx.with_unit_costs();
     net = std::make_unique<Net>(sim, topo.etx, 0.001, 0.01, 1);
     MdtConfig mc;
     mc.dim = 2;
@@ -170,15 +170,15 @@ TEST(ProtocolInternals, RejoinAfterFailure) {
 TEST(ProtocolInternals, StarCreatesMultiHopVirtualLinks) {
   radio::Topology topo;
   const int leaves = 6;
-  graph::Graph g(leaves + 1);
+  graph::GraphBuilder gb(leaves + 1);
   topo.positions.push_back(Vec{0.0, 0.0});
   for (int i = 0; i < leaves; ++i) {
     const double angle = 2.0 * 3.14159265358979 * i / leaves;
     topo.positions.push_back(Vec{std::cos(angle), std::sin(angle)});
-    g.add_bidirectional(0, i + 1, 1.0, 1.0);
+    gb.add_bidirectional(0, i + 1, 1.0, 1.0);
   }
-  topo.etx = g;
-  topo.hops = g.with_unit_costs();
+  topo.etx = gb.build();
+  topo.hops = topo.etx.with_unit_costs();
 
   sim::Simulator sim;
   Net net(sim, topo.etx, 0.001, 0.01, 2);
@@ -219,18 +219,18 @@ struct GridNet {
   int n = 0;
 
   explicit GridNet(int side) : n(side * side) {
-    graph::Graph g(n);
+    graph::GraphBuilder gb(n);
     for (int r = 0; r < side; ++r)
       for (int c = 0; c < side; ++c)
         topo.positions.push_back(Vec{static_cast<double>(c), static_cast<double>(r)});
     for (int r = 0; r < side; ++r)
       for (int c = 0; c < side; ++c) {
         const int u = r * side + c;
-        if (c + 1 < side) g.add_bidirectional(u, u + 1, 1.0, 1.0);
-        if (r + 1 < side) g.add_bidirectional(u, u + side, 1.0, 1.0);
+        if (c + 1 < side) gb.add_bidirectional(u, u + 1, 1.0, 1.0);
+        if (r + 1 < side) gb.add_bidirectional(u, u + side, 1.0, 1.0);
       }
-    topo.etx = g;
-    topo.hops = g.with_unit_costs();
+    topo.etx = gb.build();
+    topo.hops = topo.etx.with_unit_costs();
     net = std::make_unique<Net>(sim, topo.etx, 0.001, 0.01, 1);
     MdtConfig mc;
     mc.dim = 2;

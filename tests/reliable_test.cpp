@@ -65,16 +65,16 @@ struct RMsg {
 
 struct Fixture {
   Simulator sim;
-  graph::Graph g{2};
+  graph::Graph g;
   NetSim<RMsg> net;
   ReliableTransport<RMsg> rel;
   std::vector<int> delivered;  // app-layer payloads, duplicates suppressed
 
   explicit Fixture(std::uint64_t seed, ReliableConfig cfg = {})
       : g([] {
-          graph::Graph gg(2);
-          gg.add_bidirectional(0, 1, 1.0, 1.0);
-          return gg;
+          graph::GraphBuilder gb(2);
+          gb.add_bidirectional(0, 1, 1.0, 1.0);
+          return gb.build();
         }()),
         net(sim, g, 0.01, 0.05, seed),
         rel(net, cfg, [](int, int, std::uint64_t seq) {

@@ -81,10 +81,11 @@ TEST(Gdv, PerfectEmbeddingGivesNearOptimalPaths) {
   // Line network where virtual distance exactly equals routing cost: GDV
   // must follow the optimal path.
   const int n = 12;
-  graph::Graph metric(n);
+  graph::GraphBuilder gb(n);
   std::vector<Vec> pos;
   for (int i = 0; i < n; ++i) pos.push_back(Vec{static_cast<double>(i), 0.0});
-  for (int i = 0; i + 1 < n; ++i) metric.add_bidirectional(i, i + 1, 1.0, 1.0);
+  for (int i = 0; i + 1 < n; ++i) gb.add_bidirectional(i, i + 1, 1.0, 1.0);
+  const graph::Graph metric = gb.build();
   const MdtView view = centralized_mdt(pos, metric);
   const RouteResult r = route_gdv(view, 0, n - 1);
   ASSERT_TRUE(r.success);
@@ -186,10 +187,11 @@ TEST(Planar, GabrielIsSubgraphAndSymmetric) {
 TEST(Planar, GabrielRemovesWitnessedEdges) {
   // Three nodes: w sits inside the circle with diameter (u, v).
   std::vector<Vec> pos{Vec{0, 0}, Vec{10, 0}, Vec{5, 1}};
-  graph::Graph links(3);
-  links.add_bidirectional(0, 1, 1, 1);
-  links.add_bidirectional(0, 2, 1, 1);
-  links.add_bidirectional(1, 2, 1, 1);
+  graph::GraphBuilder gb(3);
+  gb.add_bidirectional(0, 1, 1, 1);
+  gb.add_bidirectional(0, 2, 1, 1);
+  gb.add_bidirectional(1, 2, 1, 1);
+  const graph::Graph links = gb.build();
   const PlanarGraph pg(pos, links);
   EXPECT_FALSE(pg.has_edge(0, 1));  // witnessed by node 2
   EXPECT_TRUE(pg.has_edge(0, 2));
@@ -198,8 +200,9 @@ TEST(Planar, GabrielRemovesWitnessedEdges) {
 
 TEST(Planar, AngleOrdering) {
   std::vector<Vec> pos{Vec{0, 0}, Vec{1, 0}, Vec{0, 1}, Vec{-1, 0}, Vec{0, -1}};
-  graph::Graph links(5);
-  for (int v = 1; v <= 4; ++v) links.add_bidirectional(0, v, 1, 1);
+  graph::GraphBuilder gb(5);
+  for (int v = 1; v <= 4; ++v) gb.add_bidirectional(0, v, 1, 1);
+  const graph::Graph links = gb.build();
   const PlanarGraph pg(pos, links);
   // next_ccw from angle just below 0 should be node 1 (angle 0).
   EXPECT_EQ(pg.next_ccw(0, -0.01), 1);
@@ -231,10 +234,11 @@ TEST(Nadv, PrefersCheapLinks) {
   // Two-hop network: direct expensive link vs a cheap relay. NADV weighs
   // advance per cost and takes the relay.
   std::vector<Vec> pos{Vec{0, 0}, Vec{5, 2}, Vec{10, 0}};
-  graph::Graph metric(3);
-  metric.add_bidirectional(0, 2, 10.0, 10.0);  // lossy direct link
-  metric.add_bidirectional(0, 1, 1.2, 1.2);
-  metric.add_bidirectional(1, 2, 1.2, 1.2);
+  graph::GraphBuilder gb(3);
+  gb.add_bidirectional(0, 2, 10.0, 10.0);  // lossy direct link
+  gb.add_bidirectional(0, 1, 1.2, 1.2);
+  gb.add_bidirectional(1, 2, 1.2, 1.2);
+  const graph::Graph metric = gb.build();
   const PlanarGraph pg(pos, metric.with_unit_costs());
   const RouteResult r = route_nadv(pos, metric, pg, 0, 2);
   ASSERT_TRUE(r.success);
@@ -246,7 +250,7 @@ TEST(Gpsr, RecoversAroundVoid) {
   // A "U" shaped topology: greedy from the left arm toward the right arm
   // dead-ends at the void; perimeter routing must go around the bottom.
   std::vector<Vec> pos;
-  graph::Graph links(9);
+  graph::GraphBuilder gb(9);
   // left arm (top to bottom), bottom, right arm (bottom to top)
   pos.push_back(Vec{0, 10});  // 0 source
   pos.push_back(Vec{0, 7});
@@ -257,7 +261,8 @@ TEST(Gpsr, RecoversAroundVoid) {
   pos.push_back(Vec{8, 4});
   pos.push_back(Vec{8, 7});
   pos.push_back(Vec{8, 10});  // 8 destination
-  for (int i = 0; i + 1 < 9; ++i) links.add_bidirectional(i, i + 1, 1, 1);
+  for (int i = 0; i + 1 < 9; ++i) gb.add_bidirectional(i, i + 1, 1, 1);
+  const graph::Graph links = gb.build();
   const PlanarGraph pg(pos, links);
   const RouteResult r = route_gpsr(pos, links, pg, 0, 8);
   ASSERT_TRUE(r.success);
@@ -266,9 +271,10 @@ TEST(Gpsr, RecoversAroundVoid) {
 
 TEST(Gpsr, FailsCleanlyWhenDisconnected) {
   std::vector<Vec> pos{Vec{0, 0}, Vec{1, 0}, Vec{10, 0}, Vec{11, 0}};
-  graph::Graph links(4);
-  links.add_bidirectional(0, 1, 1, 1);
-  links.add_bidirectional(2, 3, 1, 1);
+  graph::GraphBuilder gb(4);
+  gb.add_bidirectional(0, 1, 1, 1);
+  gb.add_bidirectional(2, 3, 1, 1);
+  const graph::Graph links = gb.build();
   const PlanarGraph pg(pos, links);
   const RouteResult r = route_gpsr(pos, links, pg, 0, 3);
   EXPECT_FALSE(r.success);

@@ -179,10 +179,10 @@ struct Msg {
 };
 
 graph::Graph triangle() {
-  graph::Graph g(3);
-  g.add_bidirectional(0, 1, 1.0, 2.0);
-  g.add_bidirectional(1, 2, 1.0, 1.0);
-  return g;
+  graph::GraphBuilder gb(3);
+  gb.add_bidirectional(0, 1, 1.0, 2.0);
+  gb.add_bidirectional(1, 2, 1.0, 1.0);
+  return gb.build();
 }
 
 TEST(NetSim, DeliversWithBoundedDelay) {
@@ -257,8 +257,9 @@ TEST(NetSim, AliveNeighborsFiltersDead) {
 
 TEST(NetSim, LossModelDropsAtPrrRate) {
   Simulator sim;
-  graph::Graph g(2);
-  g.add_bidirectional(0, 1, 4.0, 4.0);  // ETX 4 -> PRR 0.25
+  graph::GraphBuilder gb(2);
+  gb.add_bidirectional(0, 1, 4.0, 4.0);  // ETX 4 -> PRR 0.25
+  const graph::Graph g = gb.build();
   NetSim<Msg> net(sim, g, 0.001, 0.002, 77);
   net.set_loss_from_etx(g);
   int received = 0;
@@ -281,8 +282,9 @@ TEST(NetSim, LossModelDropsAtPrrRate) {
 
 TEST(NetSim, LossModelClampsGoodLinks) {
   Simulator sim;
-  graph::Graph g(2);
-  g.add_bidirectional(0, 1, 1.0, 1.0);  // ETX 1 -> never dropped
+  graph::GraphBuilder gb(2);
+  gb.add_bidirectional(0, 1, 1.0, 1.0);  // ETX 1 -> never dropped
+  const graph::Graph g = gb.build();
   NetSim<Msg> net(sim, g, 0.001, 0.002, 78);
   net.set_loss_from_etx(g);
   int received = 0;
@@ -368,8 +370,9 @@ TEST(NetSim, DownedLinkRefusesSendUntilRestored) {
 
 TEST(NetSim, FaultLossDropsAndAccounts) {
   Simulator sim;
-  graph::Graph g(2);
-  g.add_bidirectional(0, 1, 1.0, 1.0);
+  graph::GraphBuilder gb(2);
+  gb.add_bidirectional(0, 1, 1.0, 1.0);
+  const graph::Graph g = gb.build();
   NetSim<Msg> net(sim, g, 0.001, 0.002, 91);
   net.set_fault_loss(0.5);
   int received = 0;
@@ -392,8 +395,9 @@ TEST(NetSim, FaultLossDropsAndAccounts) {
 
 TEST(NetSim, FaultLossStacksWithEtxLoss) {
   Simulator sim;
-  graph::Graph g(2);
-  g.add_bidirectional(0, 1, 2.0, 2.0);  // ETX 2 -> PRR 0.5
+  graph::GraphBuilder gb(2);
+  gb.add_bidirectional(0, 1, 2.0, 2.0);  // ETX 2 -> PRR 0.5
+  const graph::Graph g = gb.build();
   NetSim<Msg> net(sim, g, 0.001, 0.002, 92);
   net.set_loss_from_etx(g);
   net.set_fault_loss(0.5);
@@ -412,8 +416,9 @@ TEST(NetSim, FaultLossStacksWithEtxLoss) {
 
 TEST(NetSim, DuplicationDeliversTwiceWithIndependentDelays) {
   Simulator sim;
-  graph::Graph g(2);
-  g.add_bidirectional(0, 1, 1.0, 1.0);
+  graph::GraphBuilder gb(2);
+  gb.add_bidirectional(0, 1, 1.0, 1.0);
+  const graph::Graph g = gb.build();
   NetSim<Msg> net(sim, g, 0.001, 0.002, 93);
   net.set_duplication(1.0);  // every delivery duplicated
   int received = 0;
@@ -430,8 +435,9 @@ TEST(NetSim, DuplicationDeliversTwiceWithIndependentDelays) {
 // moved-from husk.
 TEST(NetSim, DuplicateCarriesTheWholeEnvelope) {
   Simulator sim;
-  graph::Graph g(2);
-  g.add_bidirectional(0, 1, 1.0, 1.0);
+  graph::GraphBuilder gb(2);
+  gb.add_bidirectional(0, 1, 1.0, 1.0);
+  const graph::Graph g = gb.build();
   NetSim<mdt::Envelope> net(sim, g, 0.001, 0.002, 95);
   net.set_duplication(1.0);
   mdt::Envelope m;
@@ -468,8 +474,9 @@ TEST(NetSim, DuplicateCarriesTheWholeEnvelope) {
 
 TEST(NetSim, DelayFactorStretchesDeliveryTimes) {
   Simulator sim;
-  graph::Graph g(2);
-  g.add_bidirectional(0, 1, 1.0, 1.0);
+  graph::GraphBuilder gb(2);
+  gb.add_bidirectional(0, 1, 1.0, 1.0);
+  const graph::Graph g = gb.build();
   NetSim<Msg> net(sim, g, 0.1, 0.2, 94);
   std::vector<double> times;
   net.set_receiver([&](int, int, Msg) { times.push_back(sim.now()); });

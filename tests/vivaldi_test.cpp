@@ -15,9 +15,10 @@ TEST(Vivaldi, LocalDistancesConvergeOnLine) {
   // 8-node line, hop metric: after enough periods, 1-hop pairs should sit at
   // distance ~1 in the virtual space (local relationships preserved).
   const int n = 8;
-  graph::Graph links(n);
-  for (int i = 0; i + 1 < n; ++i) links.add_bidirectional(i, i + 1, 1.0, 1.0);
+  graph::GraphBuilder gb(n);
+  for (int i = 0; i + 1 < n; ++i) gb.add_bidirectional(i, i + 1, 1.0, 1.0);
   sim::Simulator sim;
+  const graph::Graph links = gb.build();
   sim::NetSim<VivMsg> net(sim, links, 0.001, 0.01, 1);
   VivaldiConfig vc;
   vc.dim = 2;
@@ -33,9 +34,10 @@ TEST(Vivaldi, LocalDistancesConvergeOnLine) {
 
 TEST(Vivaldi, TwoHopSetsAreCorrect) {
   // Star-of-line: 0-1-2; node 0's only 2-hop target is 2.
-  graph::Graph links(3);
-  links.add_bidirectional(0, 1, 1, 1);
-  links.add_bidirectional(1, 2, 1, 1);
+  graph::GraphBuilder gb(3);
+  gb.add_bidirectional(0, 1, 1, 1);
+  gb.add_bidirectional(1, 2, 1, 1);
+  const graph::Graph links = gb.build();
   sim::Simulator sim;
   sim::NetSim<VivMsg> net(sim, links, 0.001, 0.01, 2);
   VivaldiConfig vc;
