@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -410,19 +409,18 @@ BENCHMARK(BM_VpodEngine)
     ->Args({500, 4})
     ->Unit(benchmark::kMillisecond);
 
-// The downed-link set replacement (std::set<pair> -> open-addressing
-// LinkSet): a fault-storm mix of inserts/erases over a mostly-hit
-// contains() stream, the shape link_up() sees on the send path.
-template <typename SetT, typename Contains, typename Insert, typename Erase>
-void down_links_mix(benchmark::State& state, SetT& set, Contains&& contains, Insert&& insert,
-                    Erase&& erase) {
+// NetSim's downed-link set (open-addressing LinkSet): a fault-storm mix of
+// inserts/erases over a mostly-hit contains() stream, the shape link_up()
+// sees on the send path.
+void BM_DownLinksLinkSet(benchmark::State& state) {
+  sim::LinkSet set;
   Rng rng(11);
   const int n = 2000;
   std::vector<std::pair<int, int>> downed;
   for (int i = 0; i < 200; ++i) {
     const int u = rng.uniform_index(n);
     const int v = (u + 1 + rng.uniform_index(16)) % n;
-    insert(set, u, v);
+    set.insert(sim::LinkSet::key(u, v));
     downed.emplace_back(u, v);
   }
   std::uint64_t hits = 0;
@@ -430,36 +428,16 @@ void down_links_mix(benchmark::State& state, SetT& set, Contains&& contains, Ins
     for (int k = 0; k < 256; ++k) {
       const int u = rng.uniform_index(n);
       const int v = (u + 1 + rng.uniform_index(16)) % n;
-      hits += contains(set, u, v) ? 1u : 0u;
+      hits += set.contains(sim::LinkSet::key(u, v)) ? 1u : 0u;
     }
     // Churn one link per probe burst, as a fault storm would.
     const auto& flip = downed[static_cast<std::size_t>(rng.uniform_index(
         static_cast<int>(downed.size())))];
-    erase(set, flip.first, flip.second);
-    insert(set, flip.first, flip.second);
+    set.erase(sim::LinkSet::key(flip.first, flip.second));
+    set.insert(sim::LinkSet::key(flip.first, flip.second));
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
-}
-
-void BM_DownLinksStdSet(benchmark::State& state) {
-  std::set<std::pair<int, int>> set;
-  auto norm = [](int u, int v) { return std::make_pair(std::min(u, v), std::max(u, v)); };
-  down_links_mix(
-      state, set,
-      [&](const auto& s, int u, int v) { return s.count(norm(u, v)) != 0; },
-      [&](auto& s, int u, int v) { s.insert(norm(u, v)); },
-      [&](auto& s, int u, int v) { s.erase(norm(u, v)); });
-}
-BENCHMARK(BM_DownLinksStdSet);
-
-void BM_DownLinksLinkSet(benchmark::State& state) {
-  sim::LinkSet set;
-  down_links_mix(
-      state, set,
-      [](const auto& s, int u, int v) { return s.contains(sim::LinkSet::key(u, v)); },
-      [](auto& s, int u, int v) { s.insert(sim::LinkSet::key(u, v)); },
-      [](auto& s, int u, int v) { s.erase(sim::LinkSet::key(u, v)); });
 }
 BENCHMARK(BM_DownLinksLinkSet);
 

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/vec.hpp"
 #include "eval/protocol_runner.hpp"
 #include "eval/routing_eval.hpp"
 #include "radio/topology.hpp"
@@ -37,10 +38,10 @@ struct Args {
 };
 
 void usage() {
-  std::puts(
+  std::printf(
       "gdv_sim -- run one GDV/VPoD experiment\n"
       "  --nodes N        number of nodes (default 200)\n"
-      "  --dim D          virtual space dimension 2..8 (default 3)\n"
+      "  --dim D          virtual space dimension 2..%d (default 3)\n"
       "  --space-dim D    physical space dimension 2 or 3 (default 2)\n"
       "  --metric M       hop | etx | ett | energy (default etx)\n"
       "  --obstacles K    number of 10x10m obstacles, 2D only (default 0)\n"
@@ -50,7 +51,8 @@ void usage() {
       "  --degree X       target average physical degree (default 14.5)\n"
       "  --seed S         RNG seed (default 1)\n"
       "  --fixed-timeout T  use a fixed adjustment timeout of T seconds\n"
-      "  --per-period     print routing quality after every period");
+      "  --per-period     print routing quality after every period\n",
+      Vec::kMaxDim);
 }
 
 bool parse(int argc, char** argv, Args& a) {
@@ -92,6 +94,10 @@ bool parse(int argc, char** argv, Args& a) {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
     }
+  }
+  if (a.dim < 2 || a.dim > Vec::kMaxDim) {
+    std::fprintf(stderr, "--dim must be in 2..%d\n", Vec::kMaxDim);
+    return false;
   }
   return true;
 }

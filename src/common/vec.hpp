@@ -1,9 +1,9 @@
 // Small dynamic-dimension Euclidean vector.
 //
 // VPoD embeds nodes in a virtual space whose dimension is a runtime
-// parameter (the paper evaluates 2D, 3D and 4D; the PCA study goes to 15).
-// Vec stores up to kMaxDim coordinates inline -- no heap allocation -- and
-// carries its dimension. All arithmetic requires matching dimensions.
+// parameter (the paper evaluates 2D, 3D and 4D). Vec stores up to kMaxDim
+// coordinates inline -- no heap allocation -- and carries its dimension.
+// All arithmetic requires matching dimensions.
 #pragma once
 
 #include <array>
@@ -19,8 +19,11 @@ namespace gdvr {
 
 class Vec {
  public:
-  // Generous upper bound: the paper's PCA study looks at up to 15 dimensions.
-  static constexpr int kMaxDim = 16;
+  // The protocols run at d = 2..4 and gdv_sim accepts up to 8. Every node
+  // stores a Vec per neighbor and every message carries several, so the
+  // cap is sized to what is used. (The PCA study of Fig. 9, up to 15
+  // dimensions, runs on analysis::Matrix, not on Vec.)
+  static constexpr int kMaxDim = 8;
 
   Vec() = default;
   explicit Vec(int dim) : dim_(dim) {

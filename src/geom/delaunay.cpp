@@ -38,14 +38,14 @@ double bbox_diagonal(std::span<const Vec> points) {
   return diag > 0.0 ? diag : 1.0;
 }
 
-// Sorted facet key: the dim vertex ids of a facet (dim <= 12).
-using FacetKey = std::array<int, 12>;
+// Sorted facet key: the dim vertex ids of a facet.
+using FacetKey = std::array<int, Vec::kMaxDim>;
 
 FacetKey facet_key(const Triangulation::Cell& c, int skip, int dim) {
   FacetKey key;
   int w = 0;
-  // Insertion sort while filling: facets have at most 12 vertices, where this
-  // beats std::sort and the full-array fill it would require.
+  // Insertion sort while filling: facets have at most Vec::kMaxDim vertices,
+  // where this beats std::sort and the full-array fill it would require.
   for (int i = 0; i <= dim; ++i) {
     if (i == skip) continue;
     const int x = c.v[static_cast<std::size_t>(i)];
@@ -259,7 +259,7 @@ double Triangulation::cell_orient(const Cell& c, int replace, const Vec& q) cons
       w[static_cast<std::size_t>(i)] =
           pts_[static_cast<std::size_t>(c.v[static_cast<std::size_t>(i)])].coords().data();
   }
-  double buf[12 * 12];
+  double buf[Vec::kMaxDim * Vec::kMaxDim];
   for (int r = 0; r < dim_; ++r)
     for (int col = 0; col < dim_; ++col)
       buf[r * dim_ + col] = w[static_cast<std::size_t>(r + 1)][col] - w[0][col];
@@ -348,7 +348,7 @@ bool Triangulation::build(std::span<const Vec> points) {
   GDVR_PROFILE_SCOPE("geom.delaunay_build");
   GDVR_ASSERT(!points.empty());
   dim_ = points[0].dim();
-  GDVR_ASSERT(dim_ >= 2 && dim_ <= 12);
+  GDVR_ASSERT(dim_ >= 2 && dim_ <= Vec::kMaxDim);
   const int n = static_cast<int>(points.size());
   if (n < dim_ + 1) return false;
 
@@ -381,7 +381,7 @@ bool Triangulation::star_neighbors(std::span<const Vec> points, int center, std:
   out.clear();
   GDVR_ASSERT(!points.empty());
   dim_ = points[0].dim();
-  GDVR_ASSERT(dim_ >= 2 && dim_ <= 12);
+  GDVR_ASSERT(dim_ >= 2 && dim_ <= Vec::kMaxDim);
   const int n = static_cast<int>(points.size());
   GDVR_ASSERT(center >= 0 && center < n);
   if (n < dim_ + 1) return false;

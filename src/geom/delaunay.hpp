@@ -1,4 +1,5 @@
-// Incremental Delaunay triangulation in arbitrary dimension (2 <= d <= 12).
+// Incremental Delaunay triangulation in arbitrary dimension
+// (2 <= d <= Vec::kMaxDim = 8).
 //
 // This is the geometric engine under both MDT (multi-hop Delaunay
 // triangulation) and VPoD: every node repeatedly computes the Delaunay
@@ -62,7 +63,7 @@ DelaunayGraph delaunay_graph(std::span<const Vec> points, const DelaunayOptions&
 class Triangulation {
  public:
   static constexpr int kInfinite = -1;
-  static constexpr int kMaxVerts = 13;  // dim + 1 for dim <= 12
+  static constexpr int kMaxVerts = Vec::kMaxDim + 1;  // dim + 1
 
   struct Cell {
     // Vertex indices (kInfinite possible) and the neighbor cell across the
@@ -136,13 +137,13 @@ class Triangulation {
     // If `key` is already present, removes it, fills *other_cell /
     // *other_facet with the stored pair and returns true; otherwise inserts
     // (cell, facet) under `key` and returns false.
-    bool match_or_insert(const std::array<int, 12>& key, int cell, int facet, int* other_cell,
-                         int* other_facet);
+    bool match_or_insert(const std::array<int, Vec::kMaxDim>& key, int cell, int facet,
+                         int* other_cell, int* other_facet);
     bool empty() const { return live_ == 0; }
 
    private:
     struct Slot {
-      std::array<int, 12> key;
+      std::array<int, Vec::kMaxDim> key;
       int cell = -1;
       int facet = -1;
       std::uint64_t stamp = 0;  // epoch the slot was written in

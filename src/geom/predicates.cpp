@@ -7,8 +7,8 @@ namespace gdvr::geom {
 
 namespace {
 
-// Maximum predicate matrix size: dim+1 rows for in_sphere with dim <= 12.
-constexpr int kMaxN = 13;
+// Maximum predicate matrix size: dim+1 rows for in_sphere.
+constexpr int kMaxN = Vec::kMaxDim + 1;
 
 // Determinant of an n x n row-major matrix held in a flat stack buffer;
 // Gaussian elimination with partial pivoting, destroys the buffer. Closed

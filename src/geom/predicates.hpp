@@ -19,7 +19,8 @@ double determinant_inplace(std::vector<std::vector<double>>& m);
 
 // Determinant of an n x n row-major matrix held in a caller-provided flat
 // buffer (destroyed in place). Allocation-free building block for callers on
-// hot paths (the Delaunay walk's per-facet orientation tests). n <= 13.
+// hot paths (the Delaunay walk's per-facet orientation tests).
+// n <= Vec::kMaxDim + 1.
 double det_inplace(double* m, int n);
 
 // Orientation of the simplex (p[0], ..., p[d]) in d dimensions:

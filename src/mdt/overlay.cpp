@@ -26,6 +26,14 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Local-DT input scratch, one per thread like the star scratch under it:
+// the sharded engine recomputes different nodes concurrently, and nothing
+// here outlives one recompute.
+std::vector<std::pair<geom::LocalDelaunay::Key, Vec>>& dt_input_scratch() {
+  thread_local std::vector<std::pair<geom::LocalDelaunay::Key, Vec>> in;
+  return in;
+}
+
 }  // namespace
 
 MdtOverlay::MdtOverlay(Net& net, const MdtConfig& config)
@@ -180,37 +188,27 @@ void MdtOverlay::run_maintenance_round(NodeId u) {
   send_hello(u);
   // Expire relay soft state.
   const sim::Time now = net_.simulator().now();
-  for (auto it = s.relay.begin(); it != s.relay.end();) {
-    if (now - it->second.refreshed > config_.relay_ttl_s)
-      it = s.relay.erase(it);
-    else
-      ++it;
-  }
+  erase_if(s.relay, [&](const auto& e) { return now - e.second.refreshed > config_.relay_ttl_s; });
   // Soft-state staleness: a non-physical candidate that has sent us nothing
   // (position update, request, reply) for neighbor_stale_s is presumed dead.
   // With the adaptive failure detector on, entries with a fitted detector are
   // governed by phi instead (fd_tick evicts them within a few heartbeat
   // periods of death); the fixed timeout remains the bootstrap fallback for
   // entries that never delivered a heartbeat.
-  for (auto it = s.cand.begin(); it != s.cand.end();) {
-    const bool fd_governed = config_.fd.enabled && s.fd.count(it->first) > 0;
-    const bool stale = !fd_governed && !s.phys.count(it->first) &&
-                       now - it->second.last_heard > config_.neighbor_stale_s;
+  erase_if(s.cand, [&](const auto& e) {
+    const NodeId id = e.first;
+    const bool fd_governed = config_.fd.enabled && s.fd.count(id) > 0;
+    const bool stale = !fd_governed && !s.phys.count(id) &&
+                       now - e.second.last_heard > config_.neighbor_stale_s;
     if (stale) {
-      s.pending.erase(it->first);
-      s.fd.erase(it->first);
-      it = s.cand.erase(it);
-    } else {
-      ++it;
+      s.pending.erase(id);
+      s.fd.erase(id);
     }
-  }
+    return stale;
+  });
   // Bounded tombstone GC.
-  for (auto it = s.tombstones.begin(); it != s.tombstones.end();) {
-    if (now - it->second.created > config_.fd.tombstone_ttl_s)
-      it = s.tombstones.erase(it);
-    else
-      ++it;
-  }
+  erase_if(s.tombstones,
+           [&](const auto& e) { return now - e.second.created > config_.fd.tombstone_ttl_s; });
   // Per paper, every DT-neighbor pair exchanges a Neighbor-Set Request and
   // Reply each round; the smaller id initiates to keep it to two messages.
   for (NodeId y : s.dt_nbrs) {
@@ -519,7 +517,7 @@ void MdtOverlay::on_join_reply(NodeId u, Envelope msg) {
 
 void MdtOverlay::on_nbr_set_request(NodeId u, Envelope msg) {
   if (msg.target != u) {
-    (void)forward_request(u, msg);  // dead ends are dropped; origin retries
+    (void)forward_request(u, std::move(msg));  // dead ends are dropped; origin retries
     return;
   }
   reply_with_neighbor_set(u, msg, Kind::kNbrSetReply);
@@ -706,14 +704,15 @@ void MdtOverlay::note_relay(NodeId u, NodeId a, NodeId b, NodeId pred, NodeId su
 std::vector<NodeInfo> MdtOverlay::neighbor_infos(NodeId u) const {
   const NodeState& s = st(u);
   std::vector<NodeInfo> infos;
-  std::set<NodeId> seen;
-  for (const auto& [id, info] : s.phys) {
-    infos.push_back(info);
-    seen.insert(id);
-  }
+  infos.reserve(s.phys.size() + s.dt_nbrs.size());
+  for (const auto& [id, info] : s.phys) infos.push_back(info);
+  // P_u and N_u are both id-sorted: one merge walk skips the DT neighbors
+  // already sent as physical ones (the for_each_neighbor idiom).
+  auto phys = s.phys.begin();
   for (NodeId y : s.dt_nbrs) {
-    if (seen.count(y)) continue;
-    auto it = s.cand.find(y);
+    while (phys != s.phys.end() && phys->first < y) ++phys;
+    if (phys != s.phys.end() && phys->first == y) continue;
+    const auto it = s.cand.find(y);
     if (it == s.cand.end()) continue;
     infos.push_back(NodeInfo{y, it->second.pos, it->second.err, /*joined=*/true,
                              it->second.pos_version, it->second.incarnation});
@@ -744,19 +743,21 @@ void MdtOverlay::reply_with_neighbor_set(NodeId u, const Envelope& request, Kind
   c.via = request.origin;
   c.last_heard = net_.simulator().now();
   c.synced = true;
+  // The reply route is read from `c` now: merging below may insert into C_u,
+  // which invalidates `c`.
+  Envelope r;
+  r.route = c.path;
   // Mutual exchange: a neighbor-set request carries the requester's neighbor
   // set (empty for join requests).
   for (const NodeInfo& info : request.nbr_infos) merge_candidate_info(u, info, request.origin);
   schedule_recompute(u);
 
-  Envelope r;
   r.kind = kind;
   r.origin = u;
   r.target = request.origin;
   r.origin_info = info_of(u);
   r.nbr_infos = neighbor_infos(u);
   r.fwd_cost = request.accum_cost;
-  r.route = c.path;
   r.route_idx = 0;
   if (r.route.size() >= 2) {
     const NodeId next = r.route[1];  // read before the envelope is moved from
@@ -977,13 +978,21 @@ void MdtOverlay::recompute(NodeId u) {
 
   // Local DT of {u} + P_u + C_u; N_u = u's neighbors in it, recomputed from
   // u's Delaunay star only when the key-sorted input differs from the last.
-  std::vector<std::pair<geom::LocalDelaunay::Key, Vec>> in;
-  in.reserve(1 + s.phys.size() + s.cand.size());
-  in.emplace_back(u, s.pos);
-  for (const auto& [id, info] : s.phys) in.emplace_back(id, info.pos);
-  for (const auto& [id, c] : s.cand)
-    if (!s.phys.count(id)) in.emplace_back(id, c.pos);
-  std::sort(in.begin(), in.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
+  // P_u and C_u are id-sorted, so one merge walk yields P_u ∪ C_u in key
+  // order (a node in both contributes its P_u position); u goes in at its
+  // place.
+  auto& in = dt_input_scratch();
+  in.clear();
+  auto c = s.cand.begin();
+  for (const auto& [id, info] : s.phys) {
+    for (; c != s.cand.end() && c->first < id; ++c) in.emplace_back(c->first, c->second.pos);
+    if (c != s.cand.end() && c->first == id) ++c;
+    in.emplace_back(id, info.pos);
+  }
+  for (; c != s.cand.end(); ++c) in.emplace_back(c->first, c->second.pos);
+  in.emplace(std::lower_bound(in.begin(), in.end(), u,
+                              [](const auto& e, NodeId k) { return e.first < k; }),
+             u, s.pos);
   if (s.local_dt.update(u, in)) ++rec_at(u).rebuilds;
   s.dt_nbrs.assign(s.local_dt.neighbors().begin(), s.local_dt.neighbors().end());
 
@@ -991,49 +1000,42 @@ void MdtOverlay::recompute(NodeId u) {
   // nodes with an exchange in flight, and freshly learned nodes that have
   // not yet been through a recompute.
   const sim::Time now = net_.simulator().now();
-  for (auto it = s.cand.begin(); it != s.cand.end();) {
-    const NodeId id = it->first;
-    const bool keep = contains(s.dt_nbrs, id) || s.phys.count(id) || s.pending.count(id) ||
-                      now - it->second.last_heard <= config_.candidate_fresh_s;
-    if (keep) {
-      ++it;
-    } else {
-      s.fd.erase(id);
-      it = s.cand.erase(it);
-    }
-  }
+  erase_if(s.cand, [&](const auto& e) {
+    const NodeId id = e.first;
+    const bool keep = std::binary_search(s.dt_nbrs.begin(), s.dt_nbrs.end(), id) ||
+                      s.phys.count(id) || s.pending.count(id) ||
+                      now - e.second.last_heard <= config_.candidate_fresh_s;
+    if (!keep) s.fd.erase(id);
+    return !keep;
+  });
 
   // Ensure every DT neighbor has a candidate record (physical neighbors may
   // not have one yet: give them their trivial one-hop path and link cost).
   for (NodeId y : s.dt_nbrs) {
-    if (!s.cand.count(y) && s.phys.count(y)) {
-      Candidate c;
-      c.pos = s.phys[y].pos;
-      c.err = s.phys[y].err;
-      c.pos_version = s.phys[y].pos_version;
-      c.incarnation = s.phys[y].incarnation;
-      c.cost = net_.link_cost(u, y);
-      c.path = {u, y};
-      c.last_heard = now;
-      c.synced = true;  // link-layer exchange suffices for physical neighbors
-      s.cand.emplace(y, std::move(c));
-    }
+    const auto pit = s.phys.find(y);
+    if (pit == s.phys.end() || s.cand.count(y)) continue;
+    Candidate rec;
+    rec.pos = pit->second.pos;
+    rec.err = pit->second.err;
+    rec.pos_version = pit->second.pos_version;
+    rec.incarnation = pit->second.incarnation;
+    rec.cost = net_.link_cost(u, y);
+    rec.path = {u, y};
+    rec.last_heard = now;
+    rec.synced = true;  // link-layer exchange suffices for physical neighbors
+    s.cand.emplace(y, std::move(rec));
   }
 
   sync_missing_neighbors(u);
 }
 
 void MdtOverlay::refresh_phys(NodeId u) {
-  NodeState& s = st(u);
-  for (auto it = s.phys.begin(); it != s.phys.end();) {
-    // Downed (flapping / partitioned) links count as absent: the neighbor is
-    // unreachable at the link layer until the fault clears, at which point
-    // its periodic Hello re-announces it.
-    if (!net_.alive(it->first) || !net_.link_usable(u, it->first))
-      it = s.phys.erase(it);
-    else
-      ++it;
-  }
+  // Downed (flapping / partitioned) links count as absent: the neighbor is
+  // unreachable at the link layer until the fault clears, at which point its
+  // periodic Hello re-announces it.
+  erase_if(st(u).phys, [&](const auto& e) {
+    return !net_.alive(e.first) || !net_.link_usable(u, e.first);
+  });
 }
 
 void MdtOverlay::send_hello(NodeId u) {
@@ -1069,21 +1071,16 @@ std::vector<NodeId> MdtOverlay::candidate_ids(NodeId u) const {
 
 int MdtOverlay::distinct_nodes_stored(NodeId u) const {
   const NodeState& s = st(u);
-  std::set<NodeId> known;
-  for (const auto& [id, info] : s.phys) {
-    (void)info;
-    known.insert(id);
-  }
-  for (NodeId y : s.dt_nbrs) known.insert(y);
-  for (const auto& [pair, entry] : s.relay) {
-    known.insert(pair.first);
-    known.insert(pair.second);
-    known.insert(entry.pred);
-    known.insert(entry.succ);
-  }
-  known.erase(u);
-  known.erase(-1);
-  return static_cast<int>(known.size());
+  std::vector<NodeId> known;
+  known.reserve(s.phys.size() + s.dt_nbrs.size() + 4 * s.relay.size());
+  for (const auto& [id, info] : s.phys) known.push_back(id);
+  known.insert(known.end(), s.dt_nbrs.begin(), s.dt_nbrs.end());
+  for (const auto& [pair, entry] : s.relay)
+    known.insert(known.end(), {pair.first, pair.second, entry.pred, entry.succ});
+  std::erase(known, u);
+  std::erase(known, -1);
+  std::sort(known.begin(), known.end());
+  return static_cast<int>(std::unique(known.begin(), known.end()) - known.begin());
 }
 
 }  // namespace gdvr::mdt

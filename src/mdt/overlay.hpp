@@ -21,11 +21,10 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "geom/local_delaunay.hpp"
 #include "mdt/failure_detector.hpp"
@@ -149,7 +148,7 @@ class MdtOverlay {
   // Advertised state of physical neighbors (populated by Hello / PosUpdate;
   // available even before the node activates -- VPoD's position
   // initialization rules need it).
-  const std::map<NodeId, NodeInfo>& phys_info(NodeId u) const {
+  const FlatMap<NodeId, NodeInfo>& phys_info(NodeId u) const {
     return states_[static_cast<std::size_t>(u)].phys;
   }
   // The stored physical route u -> ... -> v for a multi-hop DT neighbor v
@@ -269,12 +268,14 @@ class MdtOverlay {
     Vec pos;
     double err = 1.0;
     std::uint64_t pos_version = 0;  // bumped on every set_position / activate
-    std::map<NodeId, NodeInfo> phys;      // physical neighbors' advertised state
-    std::map<NodeId, Candidate> cand;     // candidate set C_u
+    // Every table is id-sorted (common/flat_map.hpp): iteration runs in
+    // ascending id order, and an insert invalidates references into it.
+    FlatMap<NodeId, NodeInfo> phys;       // physical neighbors' advertised state
+    FlatMap<NodeId, Candidate> cand;      // candidate set C_u
     std::vector<NodeId> dt_nbrs;          // N_u (sorted)
     // Relay entries: normalized endpoint pair -> pred/succ soft state.
-    std::map<std::pair<NodeId, NodeId>, RelayEntry> relay;
-    std::map<NodeId, PendingSync> pending;
+    FlatMap<std::pair<NodeId, NodeId>, RelayEntry> relay;
+    FlatMap<NodeId, PendingSync> pending;
     std::vector<NodeId> prev_round_dt;    // N_u at the previous maintenance round
     // The local DT over {u} + P_u + C_u: the last input and its N_u, so a
     // recompute on an unchanged input does no geometry. Reset with the rest
@@ -286,7 +287,7 @@ class MdtOverlay {
     sim::Time last_join_attempt = -1e18;  // rate limit for join retries
     // Adaptive failure detection (config.fd.enabled): one phi-accrual
     // detector per multi-hop DT neighbor, created at its first heartbeat.
-    std::map<NodeId, PhiAccrualDetector> fd;
+    FlatMap<NodeId, PhiAccrualDetector> fd;
     // Tombstones for FD-evicted neighbors: the incarnation evicted and when.
     // Gossip about (id, incarnation <= tombstone) is suppressed until direct
     // contact clears it or tombstone_ttl_s expires.
@@ -294,7 +295,7 @@ class MdtOverlay {
       std::uint32_t incarnation = 0;
       sim::Time created = 0.0;
     };
-    std::map<NodeId, Tombstone> tombstones;
+    FlatMap<NodeId, Tombstone> tombstones;
   };
 
   NodeState& st(NodeId u) { return states_[static_cast<std::size_t>(u)]; }

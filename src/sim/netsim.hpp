@@ -41,13 +41,11 @@
 
 namespace gdvr::sim {
 
-// Open-addressing hash set of undirected link keys, replacing the
-// std::set<std::pair<int,int>> that used to back NetSim's downed-link state:
-// link_up() sits on the hot send() path (one call per transmission), and a
-// red-black tree walk per send is measurable (see BM_DownLinksStdSet vs
-// BM_DownLinksLinkSet in bench/micro_core.cpp). Linear probing with
-// backward-shift deletion; the empty-set fast path makes the common
-// no-faults case one load.
+// Open-addressing hash set of undirected link keys, NetSim's downed-link
+// state: link_up() sits on the hot send() path (one call per transmission),
+// where a red-black tree walk per send was measurable (BM_DownLinksLinkSet in
+// bench/micro_core.cpp times this set). Linear probing with backward-shift
+// deletion; the empty-set fast path makes the common no-faults case one load.
 class LinkSet {
  public:
   // Order-independent key; +1 keeps 0 free as the empty-slot marker.

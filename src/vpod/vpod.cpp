@@ -18,6 +18,10 @@ Vpod::Vpod(mdt::Net& net, const VpodConfig& config)
       ctl_(static_cast<std::size_t>(net.size())),
       periods_(static_cast<std::size_t>(net.size()), 0),
       adjustments_(static_cast<std::size_t>(net.size()), 0) {
+  // Positions and the local DT are sized for Vec::kMaxDim: reject a bad
+  // dimension here, not at the first recompute.
+  GDVR_ASSERT_MSG(2 <= config.dim && config.dim <= Vec::kMaxDim,
+                  "VpodConfig::dim must be in 2..Vec::kMaxDim");
   Rng base(config.seed);
   rng_.reserve(static_cast<std::size_t>(net.size()));
   for (NodeId u = 0; u < net.size(); ++u)

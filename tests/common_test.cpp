@@ -1,9 +1,14 @@
-// Tests for the common substrate: vectors, RNG, statistics.
+// Tests for the common substrate: vectors, RNG, statistics, the sorted-vector
+// map.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/vec.hpp"
@@ -278,6 +283,90 @@ TEST(Stats, MeanStddevSpan) {
   EXPECT_DOUBLE_EQ(mean_of(xs), 3.0);
   EXPECT_DOUBLE_EQ(stddev_of(xs), 2.0);
   EXPECT_DOUBLE_EQ(mean_of(std::vector<double>{}), 0.0);
+}
+
+// ---------- FlatMap ----------
+
+std::vector<int> keys_of(const FlatMap<int, double>& m) {
+  std::vector<int> keys;
+  for (const auto& [k, v] : m) keys.push_back(k);
+  return keys;
+}
+
+TEST(FlatMap, OutOfOrderInsertsIterateAscending) {
+  FlatMap<int, double> m;
+  for (int k : {7, 2, 9, -1, 4}) EXPECT_TRUE(m.emplace(k, 10.0 * k).second);
+  EXPECT_EQ(keys_of(m), (std::vector<int>{-1, 2, 4, 7, 9}));
+  for (const auto& [k, v] : m) EXPECT_DOUBLE_EQ(v, 10.0 * k);
+  // emplace never overwrites: the first value under a key stays.
+  const auto [it, inserted] = m.emplace(4, -5.0);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(it->first, 4);
+  EXPECT_DOUBLE_EQ(it->second, 40.0);
+  EXPECT_EQ(m.size(), 5u);
+
+  // Pair keys order lexicographically, as the relay table needs.
+  FlatMap<std::pair<int, int>, int> pairs;
+  pairs[{3, 1}] = 1;
+  pairs[{1, 9}] = 2;
+  pairs[{3, 0}] = 3;
+  std::vector<std::pair<int, int>> order;
+  for (const auto& [k, v] : pairs) order.push_back(k);
+  EXPECT_EQ(order, (std::vector<std::pair<int, int>>{{1, 9}, {3, 0}, {3, 1}}));
+}
+
+TEST(FlatMap, SubscriptDefaultInsertsInPlace) {
+  FlatMap<int, double> m;
+  m.emplace(1, 1.5);
+  m.emplace(5, 5.5);
+  double& fresh = m[3];
+  EXPECT_DOUBLE_EQ(fresh, 0.0);  // value-initialized
+  fresh = 3.5;
+  EXPECT_EQ(keys_of(m), (std::vector<int>{1, 3, 5}));
+  EXPECT_DOUBLE_EQ(m.at(3), 3.5);
+  // An existing key is found, not re-inserted.
+  m[5] += 1.0;
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_DOUBLE_EQ(m.at(5), 6.5);
+}
+
+TEST(FlatMap, EraseIfPrunesInOnePass) {
+  FlatMap<int, double> m;
+  for (int k = 9; k >= 0; --k) m.emplace(k, k);
+  int calls = 0;
+  const std::size_t removed = erase_if(m, [&](const auto& e) {
+    ++calls;
+    return e.first % 3 != 0;
+  });
+  EXPECT_EQ(calls, 10);  // the predicate runs once per entry
+  EXPECT_EQ(removed, 6u);
+  EXPECT_EQ(keys_of(m), (std::vector<int>{0, 3, 6, 9}));
+  for (const auto& [k, v] : m) EXPECT_DOUBLE_EQ(v, k);
+  EXPECT_EQ(erase_if(m, [](const auto&) { return false; }), 0u);
+  EXPECT_EQ(m.size(), 4u);
+}
+
+TEST(FlatMap, LookupsOnAbsentKeys) {
+  FlatMap<int, double> m;
+  EXPECT_EQ(m.find(4), m.end());
+  EXPECT_EQ(m.count(4), 0u);
+  EXPECT_THROW((void)m.at(4), std::out_of_range);
+  EXPECT_EQ(m.erase(4), 0u);
+  m.emplace(2, 2.0);
+  m.emplace(6, 6.0);
+  const FlatMap<int, double>& cm = m;
+  for (int absent : {1, 4, 7}) {  // before, between and after the keys
+    EXPECT_EQ(m.find(absent), m.end()) << absent;
+    EXPECT_EQ(cm.find(absent), cm.end()) << absent;
+    EXPECT_EQ(m.count(absent), 0u) << absent;
+    EXPECT_THROW((void)cm.at(absent), std::out_of_range) << absent;
+  }
+  EXPECT_EQ(m.size(), 2u);  // lookups never insert
+  ASSERT_NE(m.find(6), m.end());
+  EXPECT_DOUBLE_EQ(m.find(6)->second, 6.0);
+  EXPECT_EQ(m.count(2), 1u);
+  EXPECT_EQ(m.erase(2), 1u);
+  EXPECT_EQ(keys_of(m), (std::vector<int>{6}));
 }
 
 }  // namespace

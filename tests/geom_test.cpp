@@ -120,10 +120,10 @@ TEST(Predicates, DegenerateSimplexRejected) {
 }
 
 TEST(Predicates, LargestSupportedDimension) {
-  // d = 12 is the largest dimension the triangulation accepts: the origin
-  // and the unit vectors span a simplex whose circumsphere has center
-  // (1/2, ..., 1/2) and squared radius 12/4.
-  constexpr int kDim = 12;
+  // d = Vec::kMaxDim = 8 is the largest dimension the triangulation
+  // accepts: the origin and the unit vectors span a simplex whose
+  // circumsphere has center (1/2, ..., 1/2) and squared radius 8/4.
+  constexpr int kDim = Vec::kMaxDim;
   std::vector<Vec> simplex{Vec::zero(kDim)};
   for (int i = 0; i < kDim; ++i) {
     Vec e = Vec::zero(kDim);
@@ -134,7 +134,7 @@ TEST(Predicates, LargestSupportedDimension) {
   Vec center;
   double r2 = 0.0;
   ASSERT_TRUE(circumsphere(simplex, center, r2));
-  EXPECT_NEAR(r2, 3.0, 1e-12);
+  EXPECT_NEAR(r2, kDim / 4.0, 1e-12);
   Vec outside = Vec::zero(kDim);
   outside[0] = -1.0;
   EXPECT_GT(in_sphere(simplex, center), 0.0);

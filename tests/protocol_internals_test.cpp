@@ -379,6 +379,48 @@ TEST(ProtocolInternals, StaleIncarnationMessageCannotMutateNewLife) {
   });
 }
 
+TEST(ProtocolInternals, ReplyRouteSurvivesMergingUnseenNeighbors) {
+  // The replier records the requester, merges the request's neighbor set
+  // into C_u and replies along u + the reversed trail. Merging inserts into
+  // C_u, so the route must not be read through a reference taken before the
+  // merge. Here C_u starts empty and the gossiped ids sort below the
+  // requester's, so every merge shifts or reallocates the requester's entry.
+  Line line(8);
+  for (int u = 0; u < 8; ++u)
+    line.overlay->activate(u, line.topo.positions[static_cast<std::size_t>(u)]);
+  line.sim.run_until(1.0);  // Hellos only: no node is joined, no C_u has entries
+  ASSERT_TRUE(line.overlay->candidate_ids(3).empty());
+
+  std::vector<Envelope> replies;
+  line.net->set_receiver([&](NodeId to, NodeId from, Envelope&& m) {
+    if (m.kind == Kind::kNbrSetReply && to == m.target) replies.push_back(m);
+    line.overlay->handle(to, from, std::move(m));
+  });
+
+  Envelope req;
+  req.kind = Kind::kNbrSetRequest;
+  req.origin = 7;
+  req.target = 3;
+  req.target_pos = line.overlay->position(3);
+  req.origin_info = NodeInfo{7, line.overlay->position(7), 1.0, true, 1, line.net->incarnation(7)};
+  req.visited = {7, 6, 5, 4};
+  for (NodeId id : {0, 1, 2})
+    req.nbr_infos.push_back(
+        NodeInfo{id, line.overlay->position(id), 1.0, true, 1, line.net->incarnation(id)});
+  line.overlay->handle(3, 4, req);
+  // Long enough for four hops, short of the replier's recompute (0.7 s),
+  // whose own syncs would add replies and candidates.
+  line.sim.run_until(line.sim.now() + 0.3);
+
+  EXPECT_EQ(line.overlay->candidate_ids(3), (std::vector<NodeId>{0, 1, 2, 7}));
+  const std::vector<NodeId> route{3, 4, 5, 6, 7};
+  EXPECT_EQ(line.overlay->virtual_path(3, 7), route);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].origin, 3);
+  EXPECT_EQ(replies[0].target, 7);
+  EXPECT_EQ(replies[0].route, route);
+}
+
 TEST(ProtocolInternals, SetPositionSameValueKeepsVersion) {
   // pos_version names the position *value*: re-announcing an identical
   // position must not bump the version, and leaves every neighbor's local
