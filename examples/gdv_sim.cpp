@@ -99,6 +99,17 @@ bool parse(int argc, char** argv, Args& a) {
     std::fprintf(stderr, "--dim must be in 2..%d\n", Vec::kMaxDim);
     return false;
   }
+  // Each of these would otherwise crash the run or print NaN ratios.
+  const auto reject = [](const char* why) {
+    std::fprintf(stderr, "%s\n", why);
+    return false;
+  };
+  if (a.nodes < 2) return reject("--nodes must be at least 2");
+  if (a.space_dim != 2 && a.space_dim != 3) return reject("--space-dim must be 2 or 3");
+  if (a.obstacles < 0) return reject("--obstacles must be >= 0");
+  if (a.obstacles > 0 && a.space_dim != 2) return reject("--obstacles needs --space-dim 2");
+  if (a.periods < 0) return reject("--periods must be >= 0");
+  if (a.fixed_timeout && !(a.timeout_s > 0.0)) return reject("--fixed-timeout must be > 0");
   return true;
 }
 

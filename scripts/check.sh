@@ -1,19 +1,24 @@
 #!/usr/bin/env bash
 # Full local gate: fast tier-1 tests first (plus the scenario-matrix smoke
-# subset and the end-to-end benchmark's self-test), then the chaos suite,
-# then an ASan/UBSan pass over the whole test suite in separate build trees. The full protocol x scenario matrix
-# (ctest -L scenario) runs in --release.
+# subset), then the end-to-end benchmark's self-test, the chaos suite and
+# the churn soak, then an ASan and a UBSan pass over the whole test suite
+# and a TSan pass over the chaos, soak and parallel labels, each in its own
+# build tree. The full protocol x scenario matrix (ctest -L scenario) runs
+# in --release.
 #
 #   scripts/check.sh            # tier-1 + scenario smoke + benchmark self-test
-#                               # + chaos + sanitizers
+#                               # + chaos + soak + ASan + UBSan
+#                               # + TSan (chaos|soak|parallel)
 #   scripts/check.sh --quick    # tier-1 + scenario smoke (CI on every push)
-#   scripts/check.sh --release  # tier-1 in a Release tree + benchmark
-#                               # self-test + benchmark compare
-#                               # against BENCH_core.json, so optimization-
-#                               # level-only bugs and perf regressions surface
-#                               # before perf work lands. Raise
-#                               # GDVR_BENCH_TOLERANCE (default 0.25) on noisy
-#                               # shared hosts.
+#   scripts/check.sh --release  # in a Release tree: tier-1, the full
+#                               # scenario matrix, the engine-sweep and
+#                               # large-N (N = 2000/5000) smokes of
+#                               # fig15_16_scalability, then the benchmark
+#                               # self-test and the compare against
+#                               # BENCH_core.json, so optimization-level-only
+#                               # bugs and perf regressions surface before
+#                               # perf work lands. Raise GDVR_BENCH_TOLERANCE
+#                               # (default 0.25) on noisy shared hosts.
 #   scripts/check.sh --coverage # opt-in: tier-1 under gcov instrumentation,
 #                               # failing if src/ line coverage drops below
 #                               # the committed COVERAGE_baseline.txt

@@ -57,8 +57,8 @@ enum class Kind {
   // Uses: origin, target, target_pos, origin_info, nbr_infos, visited,
   // route/route_idx/detour, accum_cost, ttl.
   kNbrSetRequest,
-  // Uses: origin (replier), target, origin_info, nbr_infos, fwd_cost,
-  // route/route_idx, accum_cost.
+  // Uses: origin (replier), target, origin_info, nbr_infos, route/route_idx,
+  // accum_cost.
   kNbrSetReply,
   // VPoD adjustment result pushed to physical and DT neighbors. Direct to
   // physical neighbors; source-routed over the virtual link otherwise.
@@ -99,13 +99,27 @@ struct Envelope {
   // path; greedy forwarding resumes when the detour ends.
   bool detour = false;
 
+  // Called by the node `holder` that just received this message: steps
+  // route_idx onto holder when it is the route's next node, and returns true
+  // when the route ends at holder (or there is none).
+  bool arrive(NodeId holder) {
+    const auto idx = static_cast<std::size_t>(route_idx);
+    if (idx + 1 < route.size() && route[idx + 1] == holder) ++route_idx;
+    return route.empty() || route_idx == static_cast<int>(route.size()) - 1;
+  }
+  // The detour's last hop arrived: greedy forwarding resumes at the holder.
+  void end_detour() {
+    detour = false;
+    route.clear();
+    route_idx = 0;
+  }
+
   // Cumulative link cost of the reverse path (paper Section III-A: each
   // receiving node x adds c(x, sender), so the final receiver learns its own
   // routing cost back to the message's origin).
   double accum_cost = 0.0;
 
   std::vector<NodeInfo> nbr_infos;  // payload of replies
-  double fwd_cost = 0.0;            // the request's accumulated cost, echoed in the reply
   int ttl = 0;
   std::uint64_t token = 0;          // data-packet id (kData)
   // Reliable-transport hop sequence (sim/reliable.hpp): nonzero while this

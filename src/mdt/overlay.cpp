@@ -26,6 +26,19 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The freshness rule for a stored copy of a node's advertised state: copies
+// are ordered by (incarnation, pos_version). An equal pair names the same
+// position (set_position mints a version only for a new value), but not
+// always the same error, which changes without one. So a message straight
+// from the node wins a tie -- it carries the current error -- while gossip,
+// a third party's snapshot that may be older, must be strictly fresher.
+bool fresher(const NodeInfo& heard, std::uint32_t incarnation, std::uint64_t pos_version,
+             bool first_hand) {
+  const auto h = std::make_pair(heard.incarnation, heard.pos_version);
+  const auto held = std::make_pair(incarnation, pos_version);
+  return first_hand ? h >= held : h > held;
+}
+
 // Local-DT input scratch, one per thread like the star scratch under it:
 // the sharded engine recomputes different nodes concurrently, and nothing
 // here outlives one recompute.
@@ -165,20 +178,7 @@ void MdtOverlay::set_position(NodeId u, const Vec& pos, double err) {
     m.origin_info = info_of(u);
     net_.send(u, id, std::move(m));
   }
-  for (NodeId y : s.dt_nbrs) {
-    if (s.phys.count(y)) continue;
-    auto it = s.cand.find(y);
-    if (it == s.cand.end() || it->second.path.size() < 2) continue;
-    Envelope m;
-    m.kind = Kind::kPosUpdate;
-    m.origin = u;
-    m.target = y;
-    m.origin_info = info_of(u);
-    m.route = it->second.path;
-    m.route_idx = 0;
-    const NodeId next = m.route[1];  // read before the envelope is moved from
-    net_.send(u, next, std::move(m));
-  }
+  send_over_virtual_links(u, Kind::kPosUpdate);
 }
 
 void MdtOverlay::run_maintenance_round(NodeId u) {
@@ -209,13 +209,7 @@ void MdtOverlay::run_maintenance_round(NodeId u) {
   // Bounded tombstone GC.
   erase_if(s.tombstones,
            [&](const auto& e) { return now - e.second.created > config_.fd.tombstone_ttl_s; });
-  // Per paper, every DT-neighbor pair exchanges a Neighbor-Set Request and
-  // Reply each round; the smaller id initiates to keep it to two messages.
-  for (NodeId y : s.dt_nbrs) {
-    auto it = s.cand.find(y);
-    if (it != s.cand.end() && (u < y || !it->second.synced)) it->second.synced = false;
-  }
-  schedule_recompute(u);
+  restart_pair_syncs(u);
 
   // Instability detection: a changed N_u means the triangulation around u is
   // still in flux (churn, healed partition, position shifts), and one sync
@@ -232,12 +226,7 @@ void MdtOverlay::run_maintenance_round(NodeId u) {
       if (!net_.alive(u) || net_.incarnation(u) != inc) return;
       NodeState& s2 = st(u);
       s2.resync_scheduled = false;
-      if (!s2.active) return;
-      for (NodeId y : s2.dt_nbrs) {
-        auto it = s2.cand.find(y);
-        if (it != s2.cand.end() && (u < y || !it->second.synced)) it->second.synced = false;
-      }
-      schedule_recompute(u);
+      if (s2.active) restart_pair_syncs(u);
     });
   }
 }
@@ -257,31 +246,7 @@ void MdtOverlay::force_resync(NodeId u) {
 }
 
 // --------------------------------------------------------------------------
-// Incarnation reconciliation + adaptive failure detection
-
-bool MdtOverlay::stale_origin(NodeId u, const NodeInfo& info) {
-  const NodeState& s = st(u);
-  std::uint32_t recorded = 0;
-  auto it = s.cand.find(info.id);
-  if (it != s.cand.end()) recorded = it->second.incarnation;
-  auto pit = s.phys.find(info.id);
-  if (pit != s.phys.end()) recorded = std::max(recorded, pit->second.incarnation);
-  if (info.incarnation < recorded) {
-    ++fd_at(u).stale_incarnation_dropped;
-    return true;
-  }
-  return false;
-}
-
-void MdtOverlay::note_direct_contact(NodeId u, const NodeInfo& info) {
-  NodeState& s = st(u);
-  auto tomb = s.tombstones.find(info.id);
-  // A message straight from the node is proof of life: a tombstone for its
-  // current (or an older) incarnation is refuted and cleared, so a falsely
-  // evicted neighbor heals within one heartbeat period.
-  if (tomb != s.tombstones.end() && info.incarnation >= tomb->second.incarnation)
-    s.tombstones.erase(tomb);
-}
+// Adaptive failure detection
 
 double MdtOverlay::suspicion(NodeId u, NodeId v) const {
   const NodeState& s = st(u);
@@ -310,35 +275,16 @@ void MdtOverlay::schedule_fd_tick(NodeId u) {
 void MdtOverlay::fd_tick(NodeId u) {
   NodeState& s = st(u);
   if (!s.active) return;
-  send_heartbeats(u);
+  // Only multi-hop DT neighbors need explicit probes: physical neighbors are
+  // covered by link-layer liveness (refresh_phys), and everything else is
+  // transient soft state with its own freshness rules.
+  fd_at(u).heartbeats_sent += send_over_virtual_links(u, Kind::kHeartbeat);
   const sim::Time now = net_.simulator().now();
   // Evict every multi-hop neighbor whose detector has crossed the threshold.
   std::vector<NodeId> dead;
   for (const auto& [y, det] : s.fd)
     if (!s.phys.count(y) && det.suspect(now)) dead.push_back(y);
   for (NodeId y : dead) evict_neighbor(u, y);
-}
-
-void MdtOverlay::send_heartbeats(NodeId u) {
-  NodeState& s = st(u);
-  if (!net_.alive(u)) return;
-  // Only multi-hop DT neighbors need explicit probes: physical neighbors are
-  // covered by link-layer liveness (refresh_phys), and everything else is
-  // transient soft state with its own freshness rules.
-  for (NodeId y : s.dt_nbrs) {
-    if (s.phys.count(y)) continue;
-    auto it = s.cand.find(y);
-    if (it == s.cand.end() || it->second.path.size() < 2) continue;
-    Envelope m;
-    m.kind = Kind::kHeartbeat;
-    m.origin = u;
-    m.target = y;
-    m.origin_info = info_of(u);
-    m.route = it->second.path;
-    m.route_idx = 0;
-    const NodeId next = m.route[1];  // read before the envelope is moved from
-    if (net_.send(u, next, std::move(m))) ++fd_at(u).heartbeats_sent;
-  }
 }
 
 void MdtOverlay::evict_neighbor(NodeId u, NodeId y) {
@@ -353,6 +299,61 @@ void MdtOverlay::evict_neighbor(NodeId u, NodeId y) {
   s.fd.erase(y);
   ++fd_at(u).evictions;
   schedule_recompute(u);
+}
+
+// --------------------------------------------------------------------------
+// What u learns from a message
+
+bool MdtOverlay::accept_direct(NodeId u, const NodeInfo& info) {
+  NodeState& s = st(u);
+  std::uint32_t recorded = 0;
+  auto it = s.cand.find(info.id);
+  if (it != s.cand.end()) recorded = it->second.incarnation;
+  auto pit = s.phys.find(info.id);
+  if (pit != s.phys.end()) recorded = std::max(recorded, pit->second.incarnation);
+  if (info.incarnation < recorded) {
+    ++fd_at(u).stale_incarnation_dropped;
+    return false;
+  }
+  auto tomb = s.tombstones.find(info.id);
+  // A tombstone for the node's current (or an older) incarnation is refuted
+  // and cleared, so a falsely evicted neighbor heals within one heartbeat
+  // period.
+  if (tomb != s.tombstones.end() && info.incarnation >= tomb->second.incarnation)
+    s.tombstones.erase(tomb);
+  return true;
+}
+
+void MdtOverlay::Candidate::hear(const NodeInfo& info, bool first_hand) {
+  if (fresher(info, incarnation, pos_version, first_hand)) {
+    pos = info.pos;
+    err = info.err;
+    pos_version = info.pos_version;
+  }
+  incarnation = std::max(incarnation, info.incarnation);
+}
+
+void MdtOverlay::hear_phys(NodeId u, const NodeInfo& info) {
+  NodeInfo& p = st(u).phys[info.id];  // a new entry reads (0, 0), which any copy beats
+  if (fresher(info, p.incarnation, p.pos_version, /*first_hand=*/true)) p = info;
+}
+
+void MdtOverlay::touch_candidate(NodeId u, const NodeInfo& info) {
+  NodeState& s = st(u);
+  const auto it = s.cand.find(info.id);
+  if (it == s.cand.end()) return;
+  it->second.hear(info, /*first_hand=*/true);
+  it->second.last_heard = net_.simulator().now();  // direct evidence of liveness
+}
+
+MdtOverlay::Candidate& MdtOverlay::learn_synced(NodeId u, const NodeInfo& info, double cost) {
+  Candidate& c = st(u).cand[info.id];
+  c.hear(info, /*first_hand=*/true);
+  c.cost = cost;
+  c.via = info.id;
+  c.last_heard = net_.simulator().now();
+  c.synced = true;
+  return c;
 }
 
 // --------------------------------------------------------------------------
@@ -399,41 +400,31 @@ void MdtOverlay::handle(NodeId to, NodeId from, Envelope msg) {
       ((msg.kind == Kind::kPosUpdate || msg.kind == Kind::kHeartbeat) && !msg.route.empty()) ||
       msg.detour;
   if (follows_route) {
-    const auto idx = static_cast<std::size_t>(msg.route_idx);
-    if (idx + 1 < msg.route.size() && msg.route[idx + 1] == to) ++msg.route_idx;
-    const bool at_end =
-        msg.route.empty() || msg.route_idx == static_cast<int>(msg.route.size()) - 1;
-    if (!at_end) {
+    if (!msg.arrive(to)) {
       // Interior relay: refresh the virtual-link forwarding entry and pass on.
       const auto cur = static_cast<std::size_t>(msg.route_idx);
       note_relay(to, msg.route.front(), msg.route.back(), msg.route[cur - 1], msg.route[cur + 1]);
       if (msg.detour) msg.visited.push_back(to);
-      forward_routed(to, std::move(msg));
+      const NodeId next = msg.route[cur + 1];
+      (void)send_ctrl(to, next, std::move(msg));  // failure = dead next hop; soft state recovers
       return;
     }
-    if (msg.detour) {
-      // Detour finished: resume greedy processing at this node.
-      msg.detour = false;
-      msg.route.clear();
-      msg.route_idx = 0;
-    }
+    if (msg.detour) msg.end_detour();
   }
 
   switch (msg.kind) {
     case Kind::kJoinRequest:
       on_join_request(to, std::move(msg));
       break;
-    case Kind::kJoinReply:
-      on_join_reply(to, std::move(msg));
-      break;
     case Kind::kNbrSetRequest:
       on_nbr_set_request(to, std::move(msg));
       break;
+    case Kind::kJoinReply:
     case Kind::kNbrSetReply:
-      on_nbr_set_reply(to, std::move(msg));
+      on_reply(to, msg);
       break;
     case Kind::kPosUpdate:
-      on_pos_update(to, std::move(msg));
+      on_pos_update(to, msg);
       break;
     case Kind::kHeartbeat:
       on_heartbeat(to, msg);
@@ -445,15 +436,12 @@ void MdtOverlay::handle(NodeId to, NodeId from, Envelope msg) {
 
 void MdtOverlay::on_hello(NodeId u, const Envelope& msg) {
   NodeState& s = st(u);
-  if (stale_origin(u, msg.origin_info)) return;
-  note_direct_contact(u, msg.origin_info);
+  if (!accept_direct(u, msg.origin_info)) return;
   const bool known = s.phys.count(msg.origin_info.id) > 0;
   // Learn/update a physical neighbor's advertised position and error. Stored
   // even before this node activates: the VPoD initialization rules need the
   // positions of already-initialized physical neighbors.
-  if (!known || at_least_as_fresh(msg.origin_info, s.phys[msg.origin_info.id].incarnation,
-                                  s.phys[msg.origin_info.id].pos_version))
-    s.phys[msg.origin_info.id] = msg.origin_info;
+  hear_phys(u, msg.origin_info);
   // Neighbor-discovery handshake: a joined node answers a Hello from an
   // unknown or not-yet-joined neighbor (a fresh joiner, or a rebooted node
   // whose state was wiped) with its own Hello, so the joiner can bootstrap
@@ -467,16 +455,7 @@ void MdtOverlay::on_hello(NodeId u, const Envelope& msg) {
     reply.origin_info = info_of(u);
     net_.send(u, msg.origin_info.id, std::move(reply));
   }
-  auto it = s.cand.find(msg.origin_info.id);
-  if (it != s.cand.end()) {
-    if (at_least_as_fresh(msg.origin_info, it->second.incarnation, it->second.pos_version)) {
-      it->second.pos = msg.origin_info.pos;
-      it->second.err = msg.origin_info.err;
-      it->second.pos_version = msg.origin_info.pos_version;
-    }
-    it->second.incarnation = std::max(it->second.incarnation, msg.origin_info.incarnation);
-    it->second.last_heard = net_.simulator().now();
-  }
+  touch_candidate(u, msg.origin_info);
   // A neighbor announcing it joined unblocks our own join immediately (the
   // join wave then travels at message speed instead of retry-timer speed).
   if (msg.origin_info.joined && s.active && !s.joined)
@@ -492,29 +471,6 @@ void MdtOverlay::on_join_request(NodeId u, Envelope msg) {
   reply_with_neighbor_set(u, msg, Kind::kJoinReply);
 }
 
-void MdtOverlay::on_join_reply(NodeId u, Envelope msg) {
-  NodeState& s = st(u);
-  if (msg.target != u || !s.active) return;
-  if (stale_origin(u, msg.origin_info)) return;
-  note_direct_contact(u, msg.origin_info);
-  // The replier becomes a synced candidate with known cost and path.
-  Candidate& c = s.cand[msg.origin];
-  if (at_least_as_fresh(msg.origin_info, c.incarnation, c.pos_version)) {
-    c.pos = msg.origin_info.pos;
-    c.err = msg.origin_info.err;
-    c.pos_version = msg.origin_info.pos_version;
-  }
-  c.incarnation = std::max(c.incarnation, msg.origin_info.incarnation);
-  c.cost = msg.accum_cost;
-  c.path.assign(msg.route.rbegin(), msg.route.rend());
-  c.via = msg.origin;
-  c.last_heard = net_.simulator().now();
-  c.synced = true;
-  for (const NodeInfo& info : msg.nbr_infos) merge_candidate_info(u, info, msg.origin);
-  s.got_join_reply = true;
-  schedule_recompute(u);
-}
-
 void MdtOverlay::on_nbr_set_request(NodeId u, Envelope msg) {
   if (msg.target != u) {
     (void)forward_request(u, std::move(msg));  // dead ends are dropped; origin retries
@@ -523,63 +479,36 @@ void MdtOverlay::on_nbr_set_request(NodeId u, Envelope msg) {
   reply_with_neighbor_set(u, msg, Kind::kNbrSetReply);
 }
 
-void MdtOverlay::on_nbr_set_reply(NodeId u, Envelope msg) {
+void MdtOverlay::on_reply(NodeId u, const Envelope& msg) {
   NodeState& s = st(u);
-  if (msg.target != u) return;
-  if (stale_origin(u, msg.origin_info)) return;
-  note_direct_contact(u, msg.origin_info);
-  auto pending_it = s.pending.find(msg.origin);
-  if (pending_it != s.pending.end()) {
-    net_.simulator().cancel(pending_it->second.timer);
-    s.pending.erase(pending_it);
+  if (msg.target != u || !accept_direct(u, msg.origin_info)) return;
+  if (msg.kind == Kind::kJoinReply) {
+    s.got_join_reply = true;
+  } else if (auto pending = s.pending.find(msg.origin); pending != s.pending.end()) {
+    net_.simulator().cancel(pending->second.timer);
+    s.pending.erase(pending);
   }
-  Candidate& c = s.cand[msg.origin];
-  if (at_least_as_fresh(msg.origin_info, c.incarnation, c.pos_version)) {
-    c.pos = msg.origin_info.pos;
-    c.err = msg.origin_info.err;
-    c.pos_version = msg.origin_info.pos_version;
-  }
-  c.incarnation = std::max(c.incarnation, msg.origin_info.incarnation);
-  c.cost = msg.accum_cost;
-  c.path.assign(msg.route.rbegin(), msg.route.rend());
-  c.via = msg.origin;
-  c.last_heard = net_.simulator().now();
-  c.synced = true;
+  // The replier becomes a synced candidate with known cost and path.
+  Candidate& replier = learn_synced(u, msg.origin_info, msg.accum_cost);
+  replier.path.assign(msg.route.rbegin(), msg.route.rend());
   for (const NodeInfo& info : msg.nbr_infos) merge_candidate_info(u, info, msg.origin);
   schedule_recompute(u);
 }
 
-void MdtOverlay::on_pos_update(NodeId u, Envelope msg) {
-  NodeState& s = st(u);
-  if (stale_origin(u, msg.origin_info)) return;
-  note_direct_contact(u, msg.origin_info);
-  const sim::Time now = net_.simulator().now();
-  if (msg.route.empty() && net_.links().has_edge(u, msg.origin)) {
-    // Direct physical-neighbor update (acts as a keep-alive as well).
-    auto pit = s.phys.find(msg.origin);
-    if (pit == s.phys.end() ||
-        at_least_as_fresh(msg.origin_info, pit->second.incarnation, pit->second.pos_version))
-      s.phys[msg.origin] = msg.origin_info;
-  }
-  auto it = s.cand.find(msg.origin);
-  if (it != s.cand.end()) {
-    if (at_least_as_fresh(msg.origin_info, it->second.incarnation, it->second.pos_version)) {
-      it->second.pos = msg.origin_info.pos;
-      it->second.err = msg.origin_info.err;
-      it->second.pos_version = msg.origin_info.pos_version;
-    }
-    it->second.incarnation = std::max(it->second.incarnation, msg.origin_info.incarnation);
-    it->second.last_heard = now;  // direct evidence of liveness either way
-  }
+void MdtOverlay::on_pos_update(NodeId u, const Envelope& msg) {
+  if (!accept_direct(u, msg.origin_info)) return;
+  // A direct physical-neighbor update acts as a keep-alive as well.
+  if (msg.route.empty() && net_.links().has_edge(u, msg.origin)) hear_phys(u, msg.origin_info);
+  touch_candidate(u, msg.origin_info);
 }
 
 void MdtOverlay::on_heartbeat(NodeId u, const Envelope& msg) {
   NodeState& s = st(u);
-  if (stale_origin(u, msg.origin_info)) return;
-  note_direct_contact(u, msg.origin_info);
+  if (!accept_direct(u, msg.origin_info)) return;
   const sim::Time now = net_.simulator().now();
   auto it = s.cand.find(msg.origin);
   if (it == s.cand.end()) return;  // not (any longer) a neighbor of ours
+  // A heartbeat is liveness, not position news: the position stays as is.
   it->second.incarnation = std::max(it->second.incarnation, msg.origin_info.incarnation);
   it->second.last_heard = now;
   if (!config_.fd.enabled || s.phys.count(msg.origin)) return;
@@ -638,47 +567,29 @@ bool MdtOverlay::forward_request(NodeId u, Envelope msg) {
   if (msg.target >= 0) {
     if (s.phys.count(msg.target) && net_.alive(msg.target)) {
       msg.visited.push_back(u);
-      const NodeId next = msg.target;  // read before the envelope is moved from
-      return send_ctrl(u, next, std::move(msg));
+      return send_ctrl(u, msg.target, std::move(msg));
     }
     auto it = s.cand.find(msg.target);
     if (it != s.cand.end() && it->second.path.size() >= 2) {
       msg.detour = true;
-      msg.route = it->second.path;
-      msg.route_idx = 0;
       msg.visited.push_back(u);
-      const NodeId next = msg.route[1];
-      return send_ctrl(u, next, std::move(msg));
+      return send_routed(u, std::move(msg), it->second.path);
     }
   }
 
   const auto next =
       greedy_next(u, msg.target_pos, msg.visited, msg.kind == Kind::kJoinRequest);
   if (!next) return false;
-  if (s.phys.count(*next)) {
-    msg.visited.push_back(u);
-    const NodeId hop = *next;
-    return send_ctrl(u, hop, std::move(msg));
-  }
+  msg.visited.push_back(u);
+  if (s.phys.count(*next)) return send_ctrl(u, *next, std::move(msg));
   // Multi-hop DT neighbor: detour along the stored virtual-link path.
   const auto it = s.cand.find(*next);
   GDVR_ASSERT(it != s.cand.end() && it->second.path.size() >= 2);
   msg.detour = true;
-  msg.route = it->second.path;
-  msg.route_idx = 0;
-  msg.visited.push_back(u);
-  const NodeId hop = msg.route[1];
-  return send_ctrl(u, hop, std::move(msg));
+  return send_routed(u, std::move(msg), it->second.path);
 }
 
-void MdtOverlay::forward_routed(NodeId u, Envelope msg) {
-  const auto idx = static_cast<std::size_t>(msg.route_idx);
-  if (idx + 1 >= msg.route.size()) return;
-  const NodeId next = msg.route[idx + 1];
-  (void)send_ctrl(u, next, std::move(msg));  // failure = dead next hop; soft state recovers
-}
-
-bool MdtOverlay::send_ctrl(NodeId from, NodeId to, Envelope msg) {
+bool MdtOverlay::send_ctrl(NodeId from, NodeId to, Envelope&& msg) {
   // Only the join / neighbor-set exchange opts into ACK + retransmit: it is
   // the traffic whose loss stalls the protocol (a lost kPosUpdate or kHello
   // is refreshed by the next periodic one anyway, and kData keeps the
@@ -688,6 +599,30 @@ bool MdtOverlay::send_ctrl(NodeId from, NodeId to, Envelope msg) {
   if (reliable_ != nullptr && protect) return reliable_->send(from, to, std::move(msg));
   msg.rel_seq = 0;  // a forwarded copy must not reuse the previous hop's sequence
   return net_.send(from, to, std::move(msg));
+}
+
+bool MdtOverlay::send_routed(NodeId u, Envelope&& msg, std::vector<NodeId> path) {
+  const NodeId next = path[1];
+  msg.route = std::move(path);
+  msg.route_idx = 0;
+  return send_ctrl(u, next, std::move(msg));
+}
+
+int MdtOverlay::send_over_virtual_links(NodeId u, Kind kind) {
+  const NodeState& s = st(u);
+  int sent = 0;
+  for (NodeId y : s.dt_nbrs) {
+    if (s.phys.count(y)) continue;
+    const auto it = s.cand.find(y);
+    if (it == s.cand.end() || it->second.path.size() < 2) continue;
+    Envelope m;
+    m.kind = kind;
+    m.origin = u;
+    m.target = y;
+    m.origin_info = info_of(u);
+    if (send_routed(u, std::move(m), it->second.path)) ++sent;
+  }
+  return sent;
 }
 
 void MdtOverlay::note_relay(NodeId u, NodeId a, NodeId b, NodeId pred, NodeId succ) {
@@ -721,48 +656,31 @@ std::vector<NodeInfo> MdtOverlay::neighbor_infos(NodeId u) const {
 }
 
 void MdtOverlay::reply_with_neighbor_set(NodeId u, const Envelope& request, Kind kind) {
-  NodeState& s = st(u);
   // A request from a past incarnation must neither teach us the dead life's
   // state nor earn a reply (the link layer would refuse to deliver it to the
   // new incarnation anyway).
-  if (stale_origin(u, request.origin_info)) return;
-  note_direct_contact(u, request.origin_info);
+  if (!accept_direct(u, request.origin_info)) return;
   // Learn the requester: the request's accumulated cost is exactly this
   // node's routing cost back to the requester along the reverse trail.
-  Candidate& c = s.cand[request.origin];
-  if (at_least_as_fresh(request.origin_info, c.incarnation, c.pos_version)) {
-    c.pos = request.origin_info.pos;
-    c.err = request.origin_info.err;
-    c.pos_version = request.origin_info.pos_version;
-  }
-  c.incarnation = std::max(c.incarnation, request.origin_info.incarnation);
-  c.cost = request.accum_cost;
-  c.path.clear();
-  c.path.push_back(u);
-  for (auto it = request.visited.rbegin(); it != request.visited.rend(); ++it) c.path.push_back(*it);
-  c.via = request.origin;
-  c.last_heard = net_.simulator().now();
-  c.synced = true;
-  // The reply route is read from `c` now: merging below may insert into C_u,
-  // which invalidates `c`.
-  Envelope r;
-  r.route = c.path;
+  std::vector<NodeId>& path = learn_synced(u, request.origin_info, request.accum_cost).path;
+  path.assign(1, u);
+  path.insert(path.end(), request.visited.rbegin(), request.visited.rend());
+  // The reply route is copied now: merging below may insert into C_u, which
+  // invalidates `path`.
+  std::vector<NodeId> route = path;
   // Mutual exchange: a neighbor-set request carries the requester's neighbor
   // set (empty for join requests).
   for (const NodeInfo& info : request.nbr_infos) merge_candidate_info(u, info, request.origin);
   schedule_recompute(u);
 
+  if (route.size() < 2) return;
+  Envelope r;
   r.kind = kind;
   r.origin = u;
   r.target = request.origin;
   r.origin_info = info_of(u);
   r.nbr_infos = neighbor_infos(u);
-  r.fwd_cost = request.accum_cost;
-  r.route_idx = 0;
-  if (r.route.size() >= 2) {
-    const NodeId next = r.route[1];  // read before the envelope is moved from
-    (void)send_ctrl(u, next, std::move(r));
-  }
+  (void)send_routed(u, std::move(r), std::move(route));
 }
 
 void MdtOverlay::merge_candidate_info(NodeId u, const NodeInfo& info, NodeId via) {
@@ -780,32 +698,20 @@ void MdtOverlay::merge_candidate_info(NodeId u, const NodeInfo& info, NodeId via
     }
     s.tombstones.erase(tomb);
   }
-  auto it = s.cand.find(info.id);
-  if (it == s.cand.end()) {
-    Candidate c;
-    c.pos = info.pos;
-    c.err = info.err;
-    c.pos_version = info.pos_version;
-    c.incarnation = info.incarnation;
-    c.via = via;
-    c.last_heard = net_.simulator().now();
-    s.cand.emplace(info.id, std::move(c));
-  } else {
-    // Refresh position/error only when the gossiped copy is strictly newer
-    // than what we hold -- a peer's snapshot of a node we also hear from
-    // directly is usually older, and overwriting fresher state with it
-    // measurably perturbs the local DT. When the direct channel lost an
-    // update, though, newer gossip repairs the staleness. Deliberately do
-    // NOT refresh last_heard: gossip is not evidence of liveness, and
-    // letting it count would keep dead nodes alive epidemically after churn.
-    if (strictly_fresher(info, it->second.incarnation, it->second.pos_version)) {
-      it->second.pos = info.pos;
-      it->second.err = info.err;
-      it->second.pos_version = info.pos_version;
-      it->second.incarnation = info.incarnation;
-    }
-    if (!it->second.synced && via >= 0) it->second.via = via;
-  }
+  const auto found = s.cand.find(info.id);
+  const bool added = found == s.cand.end();
+  Candidate& c = added ? s.cand[info.id] : found->second;
+  // Gossip refreshes a record only when strictly fresher -- a peer's
+  // snapshot of a node we also hear from directly is usually older, and
+  // overwriting fresher state with it measurably perturbs the local DT. When
+  // the direct channel lost an update, though, newer gossip repairs the
+  // staleness. A new record has nothing to keep and takes the copy whole.
+  c.hear(info, /*first_hand=*/added);
+  if (!c.synced && via >= 0) c.via = via;
+  // Only a new record starts its clock: gossip is not evidence of liveness,
+  // and letting it count would keep dead nodes alive epidemically after
+  // churn.
+  if (added) c.last_heard = net_.simulator().now();
 }
 
 void MdtOverlay::mark_joined(NodeId u) {
@@ -828,22 +734,35 @@ void MdtOverlay::resend_nbr_request(NodeId u, NodeId y) {
   auto cand_it = s.cand.find(y);
   if (cand_it == s.cand.end()) return;
 
-  const auto make_nbr_request = [this](NodeId from, NodeId to, const Vec& to_pos) {
+  const auto make_nbr_request = [&] {
     Envelope e;
     e.kind = Kind::kNbrSetRequest;
-    e.origin = from;
-    e.target = to;
-    e.target_pos = to_pos;
-    e.origin_info = info_of(from);
+    e.origin = u;
+    e.target = y;
+    e.target_pos = cand_it->second.pos;
+    e.origin_info = info_of(u);
     // The exchange is mutual: the request carries the origin's neighbor set
     // so the replier learns from it too. With one-directional gossip (only
     // the requester learns, and the smaller id always initiates), neighbor
     // knowledge only ever flows from larger ids to smaller ones -- a node
     // pair whose informed common neighbors all have smaller ids than both
     // endpoints would stay mutually unaware forever after churn.
-    e.nbr_infos = neighbor_infos(from);
+    e.nbr_infos = neighbor_infos(u);
     e.ttl = config_.greedy_ttl;
     return e;
+  };
+  // The request's trail starts at u, whether its first leg is one physical
+  // hop or a detour along a stored virtual-link path.
+  const auto direct = [&](NodeId hop) {
+    Envelope e = make_nbr_request();
+    e.visited = {u};
+    return send_ctrl(u, hop, std::move(e));
+  };
+  const auto detour = [&](const std::vector<NodeId>& path) {
+    Envelope e = make_nbr_request();
+    e.visited = {u};
+    e.detour = true;
+    return send_routed(u, std::move(e), path);
   };
 
   // Route selection, in order of preference:
@@ -856,55 +775,25 @@ void MdtOverlay::resend_nbr_request(NodeId u, NodeId y) {
   //  4. detour through the neighbor that told us about y (it knows y
   //     directly) -- how the join phase reaches neighbors-of-neighbors while
   //     greedy forwarding is still unreliable.
-  bool sent = false;
-  if (s.phys.count(y) && net_.alive(y)) {
-    Envelope g = make_nbr_request(u, y, cand_it->second.pos);
-    g.visited = {u};
-    sent = send_ctrl(u, y, std::move(g));
-  }
+  bool sent = s.phys.count(y) && net_.alive(y) && direct(y);
   if (!sent && config_.refresh_paths_greedily) {
     const auto next = greedy_next(u, cand_it->second.pos, {u}, /*joined_only=*/false);
-    if (next && s.phys.count(*next)) {
-      Envelope g = make_nbr_request(u, y, cand_it->second.pos);
-      g.visited = {u};
-      const NodeId hop = *next;
-      sent = send_ctrl(u, hop, std::move(g));
-    }
+    sent = next && s.phys.count(*next) && direct(*next);
   }
-  if (!sent && cand_it->second.path.size() >= 2) {
-    Envelope g = make_nbr_request(u, y, cand_it->second.pos);
-    g.detour = true;
-    g.route = cand_it->second.path;
-    g.route_idx = 0;
-    g.visited = {u};
-    const NodeId hop = g.route[1];
-    sent = send_ctrl(u, hop, std::move(g));
-  }
+  if (!sent && cand_it->second.path.size() >= 2) sent = detour(cand_it->second.path);
   const NodeId via = cand_it->second.via;
   if (!sent && via >= 0 && via != y && via != u) {
     if (s.phys.count(via) && net_.alive(via)) {
-      Envelope g = make_nbr_request(u, y, cand_it->second.pos);
-      g.visited = {u};
-      sent = send_ctrl(u, via, std::move(g));
-    } else {
-      auto vit = s.cand.find(via);
-      if (vit != s.cand.end() && vit->second.path.size() >= 2) {
-        Envelope g = make_nbr_request(u, y, cand_it->second.pos);
-        g.detour = true;
-        g.route = vit->second.path;
-        g.route_idx = 0;
-        g.visited = {u};
-        const NodeId hop = g.route[1];
-        sent = send_ctrl(u, hop, std::move(g));
-      }
+      sent = direct(via);
+    } else if (const auto vit = s.cand.find(via);
+               vit != s.cand.end() && vit->second.path.size() >= 2) {
+      sent = detour(vit->second.path);
     }
   }
-  if (!sent) {
-    // Last resort: full greedy machinery (may use DT detours).
-    Envelope g = make_nbr_request(u, y, cand_it->second.pos);
-    sent = forward_request(u, std::move(g));
-  }
+  // Last resort: full greedy machinery (may use DT detours).
+  if (!sent) (void)forward_request(u, make_nbr_request());
 
+  // Even a failed send arms the retry timer.
   ++sync_at(u).requests;
   PendingSync& p = s.pending[y];
   ++p.attempts;
@@ -938,7 +827,18 @@ void MdtOverlay::resend_nbr_request(NodeId u, NodeId y) {
         su.pending.erase(it);
         ++sync_at(u).failures;
       });
-  (void)sent;  // even a failed send arms the retry timer above
+}
+
+void MdtOverlay::restart_pair_syncs(NodeId u) {
+  // Per paper, every DT-neighbor pair exchanges a Neighbor-Set Request and
+  // Reply each round; the smaller id initiates to keep it to two messages.
+  NodeState& s = st(u);
+  for (NodeId y : s.dt_nbrs) {
+    if (y <= u) continue;  // the larger id answers the smaller one's request
+    auto it = s.cand.find(y);
+    if (it != s.cand.end()) it->second.synced = false;
+  }
+  schedule_recompute(u);
 }
 
 void MdtOverlay::sync_missing_neighbors(NodeId u) {
@@ -1014,16 +914,12 @@ void MdtOverlay::recompute(NodeId u) {
   for (NodeId y : s.dt_nbrs) {
     const auto pit = s.phys.find(y);
     if (pit == s.phys.end() || s.cand.count(y)) continue;
-    Candidate rec;
-    rec.pos = pit->second.pos;
-    rec.err = pit->second.err;
-    rec.pos_version = pit->second.pos_version;
-    rec.incarnation = pit->second.incarnation;
-    rec.cost = net_.link_cost(u, y);
-    rec.path = {u, y};
-    rec.last_heard = now;
-    rec.synced = true;  // link-layer exchange suffices for physical neighbors
-    s.cand.emplace(y, std::move(rec));
+    Candidate& c = s.cand[y];
+    c.hear(pit->second, /*first_hand=*/true);
+    c.cost = net_.link_cost(u, y);
+    c.path = {u, y};
+    c.last_heard = now;
+    c.synced = true;  // link-layer exchange suffices for physical neighbors
   }
 
   sync_missing_neighbors(u);

@@ -248,6 +248,11 @@ class MdtOverlay {
     NodeId via = -1;               // the neighbor whose reply taught us this node
     sim::Time last_heard = 0.0;
     bool synced = false;           // a NbrSet exchange with it has completed
+
+    // Adopts info's position and error when info is fresher than this
+    // record (the rule is in overlay.cpp's fresher()), and keeps the highest
+    // incarnation heard. `first_hand`: info came straight from the node.
+    void hear(const NodeInfo& info, bool first_hand);
   };
 
   struct PendingSync {
@@ -306,26 +311,26 @@ class MdtOverlay {
                     st(u).joined, st(u).pos_version, net_.incarnation(u)};
   }
 
-  // --- incarnation reconciliation ------------------------------------------
-  // True when `info` reports an incarnation older than what u has already
-  // recorded for that node: the message was sent before the node's last
-  // crash and must not mutate state about the new life.
-  bool stale_origin(NodeId u, const NodeInfo& info);
-  // Direct contact from (id, incarnation): clears any refuted tombstone.
-  void note_direct_contact(NodeId u, const NodeInfo& info);
-  // Lexicographic (incarnation, pos_version) freshness of `info` against a
-  // stored record.
-  static bool at_least_as_fresh(const NodeInfo& info, std::uint32_t inc, std::uint64_t ver) {
-    return std::make_pair(info.incarnation, info.pos_version) >= std::make_pair(inc, ver);
-  }
-  static bool strictly_fresher(const NodeInfo& info, std::uint32_t inc, std::uint64_t ver) {
-    return std::make_pair(info.incarnation, info.pos_version) > std::make_pair(inc, ver);
-  }
+  // --- what u learns from a message ----------------------------------------
+  // Gate for a message straight from info.id. False (and counted) when info
+  // reports an incarnation older than one u recorded for that node: it was
+  // sent before the node's last crash and must not mutate state about the
+  // new life. Otherwise it is proof of life and clears a tombstone it
+  // refutes.
+  bool accept_direct(NodeId u, const NodeInfo& info);
+  // Stores a physical neighbor's advertised state when fresher (first hand).
+  void hear_phys(NodeId u, const NodeInfo& info);
+  // Direct word from info.id, if it is in C_u: adopts its advertised state
+  // and counts it as heard from now.
+  void touch_candidate(NodeId u, const NodeInfo& info);
+  // A neighbor-set (or join) exchange with info.id completed at routing
+  // cost `cost`: records it as a synced candidate learned from itself. The
+  // caller sets the path. The reference dies at the next insert into C_u.
+  Candidate& learn_synced(NodeId u, const NodeInfo& info, double cost);
 
   // --- adaptive failure detection ------------------------------------------
   void schedule_fd_tick(NodeId u);
   void fd_tick(NodeId u);
-  void send_heartbeats(NodeId u);
   // Drops multi-hop DT neighbor y as dead: erases its soft state, writes a
   // tombstone for its last-known incarnation, and recomputes the local DT.
   void evict_neighbor(NodeId u, NodeId y);
@@ -333,10 +338,10 @@ class MdtOverlay {
   // --- message handling ----------------------------------------------------
   void on_hello(NodeId u, const Envelope& msg);
   void on_join_request(NodeId u, Envelope msg);
-  void on_join_reply(NodeId u, Envelope msg);
   void on_nbr_set_request(NodeId u, Envelope msg);
-  void on_nbr_set_reply(NodeId u, Envelope msg);
-  void on_pos_update(NodeId u, Envelope msg);
+  // A join or neighbor-set reply reaching its target.
+  void on_reply(NodeId u, const Envelope& msg);
+  void on_pos_update(NodeId u, const Envelope& msg);
   void on_heartbeat(NodeId u, const Envelope& msg);
 
   // --- forwarding helpers --------------------------------------------------
@@ -350,11 +355,16 @@ class MdtOverlay {
   // Sends a greedy-phase message onward from u (handles virtual-link
   // detours); returns false when no progress was possible.
   bool forward_request(NodeId u, Envelope msg);
-  // Continues a source-routed message from u along msg.route.
-  void forward_routed(NodeId u, Envelope msg);
   // One physical-hop control send; routes join / neighbor-set kinds through
   // the reliable transport when one is attached.
-  bool send_ctrl(NodeId from, NodeId to, Envelope msg);
+  bool send_ctrl(NodeId from, NodeId to, Envelope&& msg);
+  // Starts msg along a stored virtual-link path u -> ... (path[0] == u, at
+  // least two nodes): the route's first physical hop. A caller whose copy
+  // of the path is spare moves it in.
+  bool send_routed(NodeId u, Envelope&& msg, std::vector<NodeId> path);
+  // Sends a fresh `kind` message from u to each multi-hop DT neighbor along
+  // its virtual link; returns how many sends succeeded.
+  int send_over_virtual_links(NodeId u, Kind kind);
   // Installs/refreshes a relay entry at u for the virtual link (a, b).
   void note_relay(NodeId u, NodeId a, NodeId b, NodeId pred, NodeId succ);
 
@@ -363,6 +373,9 @@ class MdtOverlay {
   // (Re)sends without the in-flight guard: reuses any existing pending entry
   // so retry attempts accumulate toward max_sync_retries.
   void resend_nbr_request(NodeId u, NodeId y);
+  // Marks the DT-neighbor exchanges u initiates due again and schedules the
+  // recompute that sends them.
+  void restart_pair_syncs(NodeId u);
   void sync_missing_neighbors(NodeId u);
   void schedule_recompute(NodeId u);
   void recompute(NodeId u);

@@ -69,16 +69,12 @@ void LiveGdv::handle(NodeId to, NodeId from, Envelope&& msg) {
 
   // Mid-virtual-link relay: follow the source route; GDV resumes at its end.
   if (msg.detour) {
-    const auto idx = static_cast<std::size_t>(msg.route_idx);
-    if (idx + 1 < msg.route.size() && msg.route[idx + 1] == to) ++msg.route_idx;
-    if (msg.route_idx < static_cast<int>(msg.route.size()) - 1) {
+    if (!msg.arrive(to)) {
       const NodeId next = msg.route[static_cast<std::size_t>(msg.route_idx) + 1];
       (void)net_.send(to, next, std::move(msg));
       return;
     }
-    msg.detour = false;
-    msg.route.clear();
-    msg.route_idx = 0;
+    msg.end_detour();
   }
   forward(to, std::move(msg));
 }

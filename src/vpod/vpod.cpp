@@ -22,6 +22,14 @@ Vpod::Vpod(mdt::Net& net, const VpodConfig& config)
   // dimension here, not at the first recompute.
   GDVR_ASSERT_MSG(2 <= config.dim && config.dim <= Vec::kMaxDim,
                   "VpodConfig::dim must be in 2..Vec::kMaxDim");
+  // A zero or negative period or timeout schedules timers at or before now
+  // without end.
+  GDVR_ASSERT_MSG(config.initial_timeout_s > 0.0, "VpodConfig::initial_timeout_s must be > 0");
+  GDVR_ASSERT_MSG(config.adjust_period_s > 0.0, "VpodConfig::adjust_period_s must be > 0");
+  GDVR_ASSERT_MSG(config.join_period_s > 0.0, "VpodConfig::join_period_s must be > 0");
+  GDVR_ASSERT_MSG(config.timeout_mode != VpodConfig::TimeoutMode::kFixed ||
+                      config.fixed_timeout_s > 0.0,
+                  "VpodConfig::fixed_timeout_s must be > 0 in kFixed mode");
   Rng base(config.seed);
   rng_.reserve(static_cast<std::size_t>(net.size()));
   for (NodeId u = 0; u < net.size(); ++u)

@@ -11,17 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "eval/protocol_runner.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "radio/topology.hpp"
 #include "routing/distance_vector.hpp"
 #include "routing/mdt_view.hpp"
 #include "routing/planar.hpp"
 #include "routing/routers.hpp"
+#include "sim/churn.hpp"
 #include "sim/simulator.hpp"
 
 namespace gdvr::routing {
@@ -215,6 +219,88 @@ TEST(GoldenTrace, ShardedEngineThreadCountInvariant) {
   EXPECT_EQ(serial.lost, one.lost);
   EXPECT_EQ(one.sent, four.sent);
   EXPECT_EQ(one.lost, four.lost);
+}
+
+// ---------- overlay control schedule ----------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct OverlayControlRun {
+  std::string trace_digest;      // every NetSim send, with its time
+  std::uint64_t metrics_hash = 0;  // FNV-1a of the export_metrics JSON
+  std::uint64_t sent = 0;
+};
+
+// One VPoD/MDT run on the default (serial) engine, traced at every NetSim
+// send from the token flood on. `chaos` turns on every fault path the
+// overlay has: the failure detector, the reliable control transport, lossy
+// links (ETX-derived plus background fault loss), duplication, and Poisson
+// churn with one partition cycle.
+OverlayControlRun run_overlay_control(int n, int periods, bool chaos) {
+  const radio::Topology topo = golden_topo(n, 13);
+  vpod::VpodConfig vc;
+  vc.dim = 3;
+  vc.mdt.fd.enabled = chaos;
+  obs::TraceSink sink;
+  sink.set_trace_control(true);
+  OverlayControlRun r;
+  obs::Registry reg;
+  {
+    obs::ScopedTrace scope(sink);
+    eval::VpodRunner runner(topo, /*use_etx=*/true, vc, {}, /*net_seed=*/17);
+    if (chaos) {
+      const double period_len = vc.join_period_s + vc.adjust_period_s;
+      runner.enable_reliable_sync();
+      runner.enable_control_loss();
+      runner.net().set_fault_loss(0.02);
+      runner.net().set_duplication(0.05);
+      sim::ChurnConfig cc;
+      cc.t_begin = 1.0 + period_len;
+      cc.t_end = 1.0 + 3.0 * period_len;
+      cc.leave_rate_hz = 0.05 * static_cast<double>(topo.size()) / period_len;
+      cc.join_rate_hz = cc.leave_rate_hz;
+      cc.partition_cycles = 1;
+      cc.partition_s = 0.5 * period_len;
+      runner.faults().install(sim::continuous_churn(cc, 29, topo.size()));
+    }
+    runner.run_to_period(periods);
+    runner.export_metrics(reg);
+    r.sent = runner.net().total_messages_sent();
+  }
+  std::ostringstream json;
+  reg.write_json(json);
+  r.trace_digest = sink.digest_hex();
+  r.metrics_hash = fnv1a(json.str());
+  return r;
+}
+
+// The overlay's whole control schedule, pinned. GdvSim.PinnedOutput only
+// sees routing quality after quiet runs; these two pins see every message
+// the handlers send, so a change to how they treat incarnations,
+// tombstones, retries or routes moves a digest. The freshness tie rule for
+// C_u does not show here (equal versions name equal positions); it is
+// pinned by ProtocolInternals.FirstHandContactWinsFreshnessTies.
+TEST(GoldenTrace, OverlayControlScheduleQuiet) {
+  const OverlayControlRun r = run_overlay_control(/*n=*/40, /*periods=*/3, /*chaos=*/false);
+  EXPECT_EQ(r.sent, 30677u);
+  EXPECT_EQ(r.trace_digest, "cd10ca28744209a4")
+      << r.sent << " sends; if the behavior change is intended, pin the new digest";
+  EXPECT_EQ(r.metrics_hash, 9960701157893093445ull) << "metrics export changed";
+}
+
+TEST(GoldenTrace, OverlayControlScheduleChaos) {
+  const OverlayControlRun r = run_overlay_control(/*n=*/60, /*periods=*/5, /*chaos=*/true);
+  EXPECT_EQ(r.sent, 120959u);
+  EXPECT_EQ(r.trace_digest, "f6beca5fbf2ba4c2")
+      << r.sent << " sends; if the behavior change is intended, pin the new digest";
+  EXPECT_EQ(r.metrics_hash, 6780987021368228101ull) << "metrics export changed";
 }
 
 // ---------- thread-count invariance ----------

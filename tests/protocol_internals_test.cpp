@@ -167,39 +167,48 @@ TEST(ProtocolInternals, RejoinAfterFailure) {
 
 // Star topology: hub 0 at origin, leaves around it. DT neighbors of leaves
 // include other leaves (through the hub: multi-hop virtual links).
-TEST(ProtocolInternals, StarCreatesMultiHopVirtualLinks) {
+struct Star {
+  static constexpr int kLeaves = 6;
   radio::Topology topo;
-  const int leaves = 6;
-  graph::GraphBuilder gb(leaves + 1);
-  topo.positions.push_back(Vec{0.0, 0.0});
-  for (int i = 0; i < leaves; ++i) {
-    const double angle = 2.0 * 3.14159265358979 * i / leaves;
-    topo.positions.push_back(Vec{std::cos(angle), std::sin(angle)});
-    gb.add_bidirectional(0, i + 1, 1.0, 1.0);
-  }
-  topo.etx = gb.build();
-  topo.hops = topo.etx.with_unit_costs();
-
   sim::Simulator sim;
-  Net net(sim, topo.etx, 0.001, 0.01, 2);
-  MdtConfig mc;
-  mc.dim = 2;
-  MdtOverlay overlay(net, mc);
-  overlay.attach();
-  for (int u = 0; u <= leaves; ++u) overlay.activate(u, topo.positions[static_cast<std::size_t>(u)], u == 0);
-  for (int u = 1; u <= leaves; ++u) sim.schedule_at(0.1 * u, [&, u] { overlay.start_join(u); });
-  sim.run_until(15.0);
-  // Run one maintenance round to settle mutual syncs.
-  for (int u = 0; u <= leaves; ++u) overlay.run_maintenance_round(u);
-  sim.run_until(25.0);
+  std::unique_ptr<Net> net;
+  std::unique_ptr<MdtOverlay> overlay;
 
+  Star() {
+    graph::GraphBuilder gb(kLeaves + 1);
+    topo.positions.push_back(Vec{0.0, 0.0});
+    for (int i = 0; i < kLeaves; ++i) {
+      const double angle = 2.0 * 3.14159265358979 * i / kLeaves;
+      topo.positions.push_back(Vec{std::cos(angle), std::sin(angle)});
+      gb.add_bidirectional(0, i + 1, 1.0, 1.0);
+    }
+    topo.etx = gb.build();
+    topo.hops = topo.etx.with_unit_costs();
+    net = std::make_unique<Net>(sim, topo.etx, 0.001, 0.01, 2);
+    MdtConfig mc;
+    mc.dim = 2;
+    overlay = std::make_unique<MdtOverlay>(*net, mc);
+    overlay->attach();
+    for (int u = 0; u <= kLeaves; ++u)
+      overlay->activate(u, topo.positions[static_cast<std::size_t>(u)], u == 0);
+    for (int u = 1; u <= kLeaves; ++u)
+      sim.schedule_at(0.1 * u, [this, u] { overlay->start_join(u); });
+    sim.run_until(15.0);
+    // Run one maintenance round to settle mutual syncs.
+    for (int u = 0; u <= kLeaves; ++u) overlay->run_maintenance_round(u);
+    sim.run_until(25.0);
+  }
+};
+
+TEST(ProtocolInternals, StarCreatesMultiHopVirtualLinks) {
+  Star star;
   int virtual_links = 0;
-  for (int u = 1; u <= leaves; ++u) {
-    overlay.for_each_neighbor(u, [&](const NeighborView& v) {
+  for (int u = 1; u <= Star::kLeaves; ++u) {
+    star.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
       if (v.is_phys || !v.is_dt) return;
       ++virtual_links;
       // The only physical route between leaves goes through the hub.
-      const auto& path = overlay.virtual_path(u, v.id);
+      const auto& path = star.overlay->virtual_path(u, v.id);
       ASSERT_EQ(path.size(), 3u);
       EXPECT_EQ(path[1], 0);
       EXPECT_DOUBLE_EQ(v.cost, 2.0);  // two unit links
@@ -377,6 +386,47 @@ TEST(ProtocolInternals, StaleIncarnationMessageCannotMutateNewLife) {
       EXPECT_EQ(v.pos, fresh_pos);
     }
   });
+}
+
+TEST(ProtocolInternals, FirstHandContactWinsFreshnessTies) {
+  // Equal (incarnation, pos_version) names an equal position, but a node's
+  // error can change without a new version. A message straight from the
+  // node carries its current error and wins the tie; a third party's gossip
+  // at the same version may carry an older error and must lose it.
+  Star star;
+  const auto stored_err = [&](NodeId u, NodeId y) {
+    double err = -1.0;
+    star.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
+      if (v.id == y && !v.is_phys) err = v.err;
+    });
+    return err;
+  };
+  // Leaves 1 and 2 are adjacent on the hull: multi-hop DT neighbors,
+  // linked through the hub.
+  ASSERT_DOUBLE_EQ(stored_err(1, 2), 1.0);
+  const NodeInfo advertised = star.overlay->phys_info(0).at(2);
+
+  Envelope update;
+  update.kind = Kind::kPosUpdate;
+  update.origin = 2;
+  update.target = 1;
+  update.origin_info = advertised;
+  update.origin_info.err = 0.125;
+  update.route = {2, 0, 1};
+  update.route_idx = 1;  // the hub relayed it
+  star.overlay->handle(1, 0, update);
+  EXPECT_DOUBLE_EQ(stored_err(1, 2), 0.125);
+
+  Envelope reply;
+  reply.kind = Kind::kNbrSetReply;
+  reply.origin = 0;
+  reply.target = 1;
+  reply.origin_info = star.overlay->phys_info(1).at(0);
+  reply.route = {0, 1};
+  reply.nbr_infos.push_back(advertised);
+  reply.nbr_infos.back().err = 0.5;
+  star.overlay->handle(1, 0, reply);
+  EXPECT_DOUBLE_EQ(stored_err(1, 2), 0.125);
 }
 
 TEST(ProtocolInternals, ReplyRouteSurvivesMergingUnseenNeighbors) {
