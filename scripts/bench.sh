@@ -20,6 +20,20 @@
 # more stable estimator than a single sample: one-shot runs here drift up to
 # ~1.3x run-to-run, which made a 25% gate flag a rotating set of untouched
 # benchmarks. Best-of-3 vs best-of-3 keeps the gate meaningful.
+#   scripts/bench.sh --compare-rev REV [--filter REGEX]
+#                                    # A/B against a git revision in one window:
+#                                    # exports REV with git archive into a temp
+#                                    # dir (deleted on exit), builds its
+#                                    # micro_core (Release) into build-rel-base/,
+#                                    # then runs both binaries over the same rows
+#                                    # in 3 rounds, alternating which goes first.
+#                                    # Each row is scored by its median real_time
+#                                    # over the rounds; exits nonzero if any row's
+#                                    # this-tree/REV ratio exceeds
+#                                    # 1 + GDVR_BENCH_TOLERANCE. Rows present on
+#                                    # one side only are listed. `--compare-rev
+#                                    # HEAD` measures the working tree against its
+#                                    # last commit; no JSON rewrite.
 #   scripts/bench.sh --profile       # GDVR_PROFILE=1 run: appends the scoped
 #                                    # timer report (Delaunay build, overlay
 #                                    # recompute, dijkstra) to stderr;
@@ -33,7 +47,8 @@
 # runs are still valid as long as baseline and candidate used the same
 # library, which the context line in BENCH_core.json records.)
 #
-# Build directory: build-rel/ (Release; created on demand, reused).
+# Build directories: build-rel/ (Release; created on demand, reused) and, for
+# --compare-rev, build-rel-base/ (rebuilt from the exported revision each run).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,13 +56,16 @@ QUICK=0
 FILTER=""
 PROFILE=0
 COMPARE=0
+COMPARE_REV=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --quick) QUICK=1; shift ;;
     --filter) FILTER="$2"; shift 2 ;;
     --profile) PROFILE=1; shift ;;
     --compare) COMPARE=1; shift ;;
-    *) echo "usage: scripts/bench.sh [--quick] [--filter REGEX] [--compare] [--profile]" >&2; exit 2 ;;
+    --compare-rev) COMPARE_REV="$2"; shift 2 ;;
+    *) echo "usage: scripts/bench.sh [--quick] [--filter REGEX] [--compare]" \
+            "[--compare-rev REV] [--profile]" >&2; exit 2 ;;
   esac
 done
 
@@ -69,12 +87,81 @@ if bt != "release":
 EOF
 }
 
+if [[ -n "$COMPARE_REV" ]]; then
+  BASE_SRC="$(mktemp -d)"
+  RUNS="$(mktemp -d)"
+  trap 'rm -rf "$BASE_SRC" "$RUNS"' EXIT
+  git archive "$COMPARE_REV" | tar -x -C "$BASE_SRC"
+  # The tree's CMake cache names the source directory, which is new on every
+  # run, so the base build starts from scratch.
+  rm -rf build-rel-base
+  cmake -S "$BASE_SRC" -B build-rel-base -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-rel-base -j "$JOBS" --target micro_core
+  ROW_ARGS=(--benchmark_min_time=0.05)
+  [[ -n "$FILTER" ]] && ROW_ARGS+=(--benchmark_filter="$FILTER")
+  for round in 1 2 3; do
+    # Alternate which binary runs first, so a drift in host load over the
+    # window lands on both sides.
+    if (( round % 2 == 1 )); then sides=(base change); else sides=(change base); fi
+    for side in "${sides[@]}"; do
+      [[ "$side" == base ]] && bin=./build-rel-base/bench/micro_core || bin=./build-rel/bench/micro_core
+      echo "== round $round: $side ==" >&2
+      "$bin" "${ROW_ARGS[@]}" --benchmark_out="$RUNS/$side-$round.json" \
+          --benchmark_out_format=json >/dev/null
+    done
+  done
+  warn_debug_lib "$RUNS/change-1.json"
+  python3 - "$RUNS" "$COMPARE_REV" "${GDVR_BENCH_TOLERANCE:-0.25}" <<'EOF'
+import glob, json, os, statistics, sys
+
+runs, rev, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
+
+def load(side):
+    # Median real_time per row over the rounds: wall time, because cpu_time
+    # counts only the main thread of benchmarks that fan out to workers.
+    times, units = {}, {}
+    for path in sorted(glob.glob(os.path.join(runs, side + "-*.json"))):
+        for b in json.load(open(path))["benchmarks"]:
+            if b.get("run_type", "iteration") == "iteration":
+                times.setdefault(b["name"], []).append(b["real_time"])
+                units[b["name"]] = b.get("time_unit", "ns")
+    return {name: (statistics.median(ts), units[name]) for name, ts in times.items()}
+
+base, change = load("base"), load("change")
+regressed = []
+print(f"\n{'benchmark':<42} {rev[:12]:>14} {'this tree':>14} {'ratio':>7}")
+for name in change:
+    if name not in base:
+        continue
+    (b, unit), (c, _) = base[name], change[name]
+    ratio = c / b if b > 0 else float("inf")
+    flag = ""
+    if ratio > 1.0 + tol:
+        flag = "  << REGRESSION"
+        regressed.append((name, ratio))
+    print(f"{name:<42} {b:>11.4g} {unit:<2} {c:>11.4g} {unit:<2} {ratio:>7.2f}{flag}")
+for name in sorted(set(base) - set(change)):
+    print(f"{name:<42}   (only in {rev})")
+for name in sorted(set(change) - set(base)):
+    print(f"{name:<42}   (only in this tree)")
+
+if regressed:
+    print(f"\n{len(regressed)} benchmark(s) slower than {rev} by more than {tol:.0%}:",
+          file=sys.stderr)
+    for name, ratio in regressed:
+        print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
+    sys.exit(1)
+print(f"\nno real_time regressions beyond {tol:.0%} against {rev}")
+EOF
+  exit 0
+fi
+
 if [[ "$COMPARE" == 1 ]]; then
   if [[ ! -f BENCH_core.json ]]; then
     echo "--compare: no BENCH_core.json baseline at repo root" >&2
     exit 2
   fi
-  TMP_JSON="$(mktemp /tmp/bench_compare_XXXX.json)"
+  TMP_JSON="$(mktemp "${TMPDIR:-/tmp}/bench_compare_XXXX.json")"
   trap 'rm -f "$TMP_JSON"' EXIT
   ./build-rel/bench/micro_core --benchmark_min_time=0.05 \
       --benchmark_repetitions=3 \

@@ -14,11 +14,13 @@
 #                               # scenario matrix, the engine-sweep and
 #                               # large-N (N = 2000/5000) smokes of
 #                               # fig15_16_scalability, then the benchmark
-#                               # self-test and the compare against
-#                               # BENCH_core.json, so optimization-level-only
-#                               # bugs and perf regressions surface before
-#                               # perf work lands. Raise GDVR_BENCH_TOLERANCE
-#                               # (default 0.25) on noisy shared hosts.
+#                               # self-test, the A/B micro compare of the
+#                               # working tree against HEAD and the compare
+#                               # against BENCH_core.json, so
+#                               # optimization-level-only bugs and perf
+#                               # regressions surface before perf work lands.
+#                               # Raise GDVR_BENCH_TOLERANCE (default 0.25) on
+#                               # noisy shared hosts.
 #   scripts/check.sh --coverage # opt-in: tier-1 under gcov instrumentation,
 #                               # failing if src/ line coverage drops below
 #                               # the committed COVERAGE_baseline.txt
@@ -66,6 +68,10 @@ if [[ "$RELEASE" == 1 ]]; then
   # Builds perfbench/ against this checkout's src/ and runs every workload
   # tiny, so a src/ change that breaks the benchmark fails here.
   python3 perfbench/run.py --self-test
+  echo "== A/B micro compare: working tree vs HEAD (Release) =="
+  # Both micro_core builds run alternately in one window, so host load lands
+  # on both sides; this gate measures the code, not the host.
+  scripts/bench.sh --compare-rev HEAD
   echo "== benchmark compare vs BENCH_core.json (Release) =="
   # Full suite at the snapshot's min_time; fails on >GDVR_BENCH_TOLERANCE
   # real_time regressions against the committed baseline.

@@ -359,7 +359,7 @@ MdtOverlay::Candidate& MdtOverlay::learn_synced(NodeId u, const NodeInfo& info, 
 // --------------------------------------------------------------------------
 // Receiving
 
-void MdtOverlay::handle(NodeId to, NodeId from, Envelope msg) {
+void MdtOverlay::handle(NodeId to, NodeId from, Envelope&& msg) {
   NodeState& s = st(to);
   if (msg.kind == Kind::kToken) return;  // tokens belong to the layer above (VPoD)
   if (msg.kind == Kind::kAck) {

@@ -22,11 +22,13 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "geom/local_delaunay.hpp"
+#include "graph/graph.hpp"
 #include "mdt/failure_detector.hpp"
 #include "mdt/messages.hpp"
 #include "sim/netsim.hpp"
@@ -235,7 +237,7 @@ class MdtOverlay {
   void evict_for_test(NodeId u, NodeId y) { evict_neighbor(u, y); }
 
   // Receiver entry point (public so VPoD can delegate MDT kinds to it).
-  void handle(NodeId to, NodeId from, Envelope msg);
+  void handle(NodeId to, NodeId from, Envelope&& msg);
 
  private:
   struct Candidate {
@@ -410,13 +412,18 @@ class MdtOverlay {
 template <typename Fn>
 void MdtOverlay::for_each_neighbor(NodeId u, Fn&& fn) const {
   const NodeState& s = st(u);
-  // P_u and N_u are both sorted by id, so one merge walk marks which
-  // physical neighbors are also DT neighbors...
+  // P_u, N_u and u's CSR run are all sorted by id, so one merge walk marks
+  // which physical neighbors are also DT neighbors and reads each one's link
+  // cost: the first arc to it, kInf if there is none (link_cost's rule)...
   auto dt = s.dt_nbrs.begin();
+  const std::span<const graph::Edge> arcs = net_.links().neighbors(u);
+  auto arc = arcs.begin();
   for (const auto& [id, info] : s.phys) {
     while (dt != s.dt_nbrs.end() && *dt < id) ++dt;
+    while (arc != arcs.end() && arc->to < id) ++arc;
     const bool is_dt = dt != s.dt_nbrs.end() && *dt == id;
-    fn(NeighborView{id, info.pos, info.err, net_.link_cost(u, id), true, is_dt});
+    const double cost = arc != arcs.end() && arc->to == id ? arc->cost : graph::kInf;
+    fn(NeighborView{id, info.pos, info.err, cost, true, is_dt});
   }
   // ...and a second one skips them among the DT neighbors.
   auto phys = s.phys.begin();

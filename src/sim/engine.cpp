@@ -62,7 +62,7 @@ struct Simulator::Sharded {
   struct Pending {
     int lane;
     Time at;
-    std::function<void()> fn;
+    EventFn fn;
   };
 
   // Pooled per-source-lane buffer of cross-lane schedules: cleared (capacity
@@ -137,8 +137,7 @@ double Simulator::lookahead() const {
   return min_delay;
 }
 
-Simulator::EventId Simulator::sharded_schedule(int lane, Time at,
-                                               std::function<void()> fn) {
+Simulator::EventId Simulator::sharded_schedule(int lane, Time at, EventFn&& fn) {
   Sharded& sh = *sharded_;
   const int cl = g_current_lane;
   if (cl < 0) {
@@ -204,16 +203,23 @@ void Simulator::sharded_run_until(Time t) {
     if (tg < kInfTime) cap = std::min(cap, std::nextafter(tg, -kInfTime));
     GDVR_ASSERT(cap >= tn);  // at least one event per window: progress
 
-    sh.pool.parallel_for(nlanes, [&](int i) {
-      Lane& ln = sh.lanes[static_cast<std::size_t>(i)];
+    // The lane body captures one reference, so the std::function that
+    // parallel_for takes keeps it inline: a window allocates nothing.
+    const struct {
+      Sharded& sh;
+      obs::TraceSink* main_sink;
+      Time cap;
+    } w{sh, main_sink, cap};
+    sh.pool.parallel_for(nlanes, [&w](int i) {
+      Lane& ln = w.sh.lanes[static_cast<std::size_t>(i)];
       g_current_lane = i + 1;
-      if (main_sink) {
-        obs::TraceSink& sink = sh.sinks[static_cast<std::size_t>(i)];
-        sink.set_trace_control(main_sink->trace_control());
+      if (w.main_sink) {
+        obs::TraceSink& sink = w.sh.sinks[static_cast<std::size_t>(i)];
+        sink.set_trace_control(w.main_sink->trace_control());
         const obs::ScopedTrace scoped(sink);
-        run_lane(ln, cap);
+        run_lane(ln, w.cap);
       } else {
-        run_lane(ln, cap);
+        run_lane(ln, w.cap);
       }
       g_current_lane = -1;
     });
@@ -249,12 +255,7 @@ void Simulator::run_lane(Lane& ln, Time cap) {
   while (lane_peek(ln) <= cap) {
     const EventHeap::Entry e = ln.queue.top();
     ln.queue.pop();
-    const std::uint32_t slot = slot_of(e.id);
-    Slot& s = ln.slots[slot];
-    ln.now = e.at;
-    auto fn = std::move(s.fn);
-    lane_release(ln, slot);
-    fn();
+    lane_run(ln, e);
   }
   ln.now = cap;
 }

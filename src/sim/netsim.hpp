@@ -246,7 +246,7 @@ class NetSim {
   // dead at send time. The transmission is counted at the sender, and every
   // random draw (loss, duplication, delay) comes from the sender's stream.
   // The message is moved into its delivery; only a duplicate is a copy.
-  bool send(int from, int to, Message msg) {
+  bool send(int from, int to, Message&& msg) {
     if (!alive(from) || !alive(to)) return false;
     if (!link_usable(from, to)) return false;
     NodeCounters& c = counters_[static_cast<std::size_t>(from)];
@@ -277,6 +277,9 @@ class NetSim {
     deliver(from, to, std::move(msg));
     return true;
   }
+  // For a sender that keeps its message (DV sends one table to every
+  // neighbor): sends a copy.
+  bool send(int from, int to, const Message& msg) { return send(from, to, Message(msg)); }
 
   std::uint64_t messages_sent(int node) const {
     return counters_[static_cast<std::size_t>(node)].sent;

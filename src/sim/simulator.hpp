@@ -35,12 +35,19 @@
 // event occupies a slot that is reclaimed when the event fires or is
 // cancelled, and EventIds carry a per-slot generation counter so a stale id
 // (from an already-fired or cancelled event) can never cancel the slot's
-// current occupant.
+// current occupant. The callable lives inline in its slot (EventFn) and runs
+// there, so scheduling and running an event allocate nothing once a lane's
+// slots are warm.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -114,6 +121,82 @@ class EventHeap {
   std::vector<Entry> h_;
 };
 
+// A move-only `void()` callable stored inline: the event engine's slot and
+// outbox payload. Every closure the tree schedules fits kCapacity bytes (the
+// largest is NetSim<mdt::Envelope>'s delivery, 336 B; with the ops pointer
+// an EventFn is 352 B); a larger one fails the static_assert in emplace(),
+// so there is no heap fallback.
+class EventFn {
+ public:
+  static constexpr std::size_t kCapacity = 344;
+
+  EventFn() = default;
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, EventFn>)
+  explicit EventFn(F&& f) {
+    emplace(std::forward<F>(f));
+  }
+  EventFn(EventFn&& other) noexcept { take(other); }
+  EventFn(const EventFn&) = delete;
+  EventFn& operator=(const EventFn&) = delete;
+  ~EventFn() { reset(); }
+
+  // Constructs the callable in place (an EventFn rvalue is moved from);
+  // this EventFn must be empty.
+  template <typename F>
+  void emplace(F&& f) {
+    GDVR_ASSERT(ops_ == nullptr);
+    using Fn = std::decay_t<F>;
+    if constexpr (std::is_same_v<Fn, EventFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "pass an EventFn as an rvalue");
+      take(f);
+    } else {
+      static_assert(sizeof(Fn) <= kCapacity, "event closure does not fit EventFn::kCapacity");
+      static_assert(alignof(Fn) <= alignof(std::max_align_t), "over-aligned event closure");
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &kOps<Fn>;
+    }
+  }
+
+  void operator()() { ops_->invoke(buf_); }
+
+  // Destroys the callable (and everything it captured).
+  void reset() {
+    if (ops_ == nullptr) return;
+    const Ops* ops = ops_;
+    ops_ = nullptr;
+    ops->destroy(buf_);
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void*);
+    void (*relocate)(void* dst, void* src);  // move-construct at dst, destroy src
+    void (*destroy)(void*);
+  };
+
+  template <typename Fn>
+  static constexpr Ops kOps{
+      [](void* p) { (*static_cast<Fn*>(p))(); },
+      [](void* dst, void* src) {
+        Fn* from = static_cast<Fn*>(src);
+        ::new (dst) Fn(std::move(*from));
+        from->~Fn();
+      },
+      [](void* p) { static_cast<Fn*>(p)->~Fn(); },
+  };
+
+  void take(EventFn& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(buf_, other.buf_);
+    ops_ = other.ops_;
+    other.ops_ = nullptr;
+  }
+
+  alignas(std::max_align_t) unsigned char buf_[kCapacity];
+  const Ops* ops_ = nullptr;
+};
+
 class Simulator {
  public:
   // Encodes (lane << 48) | (generation << 24) | (slot + 1); 0 is never a
@@ -154,27 +237,35 @@ class Simulator {
   Time now() const { return sharded_ ? sharded_now() : serial_.now; }
 
   // --- scheduling ----------------------------------------------------------
+  // Every schedule call takes any `void()` callable -- a lambda, or a
+  // std::function, which is copied when passed as an lvalue -- and stores it
+  // inline in the event's slot (EventFn).
+  //
   // Global-lane events: fault scripts, watchdogs, harness callbacks --
   // anything that reads or writes state spanning nodes. The sharded engine
   // runs these serially at window barriers.
-  EventId schedule_at(Time at, std::function<void()> fn) {
-    if (!sharded_) return serial_schedule(at, std::move(fn));
-    return sharded_schedule(kGlobalLane, at, std::move(fn));
+  template <typename F>
+  EventId schedule_at(Time at, F&& fn) {
+    if (!sharded_) return serial_schedule(at, std::forward<F>(fn));
+    return sharded_schedule(kGlobalLane, at, EventFn(std::forward<F>(fn)));
   }
-  EventId schedule_in(Time delay, std::function<void()> fn) {
-    return schedule_at(now() + delay, std::move(fn));
+  template <typename F>
+  EventId schedule_in(Time delay, F&& fn) {
+    return schedule_at(now() + delay, std::forward<F>(fn));
   }
 
   // Node-owned events: message deliveries and per-node protocol timers whose
   // callbacks touch only that node's state (plus sends). The serial engine
   // treats these exactly like schedule_at, preserving its global (time,
   // schedule-order) semantics bit-for-bit.
-  EventId schedule_at_node(int node, Time at, std::function<void()> fn) {
-    if (!sharded_) return serial_schedule(at, std::move(fn));
-    return sharded_schedule(node_lane(node), at, std::move(fn));
+  template <typename F>
+  EventId schedule_at_node(int node, Time at, F&& fn) {
+    if (!sharded_) return serial_schedule(at, std::forward<F>(fn));
+    return sharded_schedule(node_lane(node), at, EventFn(std::forward<F>(fn)));
   }
-  EventId schedule_in_node(int node, Time delay, std::function<void()> fn) {
-    return schedule_at_node(node, now() + delay, std::move(fn));
+  template <typename F>
+  EventId schedule_in_node(int node, Time delay, F&& fn) {
+    return schedule_at_node(node, now() + delay, std::forward<F>(fn));
   }
 
   // Cancels a pending event; stale ids are no-ops. Inside a sharded window a
@@ -234,14 +325,18 @@ class Simulator {
 
  private:
   struct Slot {
-    std::function<void()> fn;
-    std::uint32_t gen = 0;
+    EventFn fn;
+    std::uint32_t gen = 0;  // kept within kGenBits, the width an EventId carries
     bool live = false;
   };
 
+  // A lane's slots never move: an event runs in its own slot while its
+  // callback schedules more events, and push_back on a std::deque keeps
+  // every element where it is. (A std::vector<Slot> would reallocate under
+  // the running callable.)
   struct Lane {
     EventHeap queue;
-    std::vector<Slot> slots;
+    std::deque<Slot> slots;
     std::vector<std::uint32_t> free;
     std::uint64_t next_seq = 0;
     std::size_t live = 0;
@@ -256,8 +351,7 @@ class Simulator {
 
   static EventId make_id(int lane, std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(lane) << (kSlotBits + kGenBits)) |
-           ((static_cast<EventId>(gen) & kGenMask) << kSlotBits) |
-           (static_cast<EventId>(slot) + 1);
+           (static_cast<EventId>(gen) << kSlotBits) | (static_cast<EventId>(slot) + 1);
   }
   static std::uint32_t slot_of(EventId id) {
     return static_cast<std::uint32_t>((id & kSlotMask) - 1);
@@ -268,9 +362,11 @@ class Simulator {
   static int lane_of(EventId id) {
     return static_cast<int>(id >> (kSlotBits + kGenBits));
   }
+  static bool holds(const Slot& s, EventId id) { return s.live && s.gen == gen_of(id); }
 
   // --- lane primitives (engine-agnostic) -----------------------------------
-  static EventId lane_push(Lane& ln, int lane, Time at, std::function<void()> fn) {
+  template <typename F>
+  static EventId lane_push(Lane& ln, int lane, Time at, F&& fn) {
     std::uint32_t slot;
     if (!ln.free.empty()) {
       slot = ln.free.back();
@@ -281,7 +377,7 @@ class Simulator {
       ln.slots.emplace_back();
     }
     Slot& s = ln.slots[slot];
-    s.fn = std::move(fn);
+    s.fn.emplace(std::forward<F>(fn));
     s.live = true;
     const EventId id = make_id(lane, slot, s.gen);
     ln.queue.push({at, ln.next_seq++, id});
@@ -289,30 +385,45 @@ class Simulator {
     return id;
   }
 
+  // Ends the slot's current event: no longer live, and every EventId issued
+  // for it is stale from here on. The generation wraps inside kGenMask, so it
+  // keeps matching the ids make_id issues however often the slot is reused.
+  static void lane_retire(Lane& ln, Slot& s) {
+    s.live = false;
+    s.gen = (s.gen + 1) & static_cast<std::uint32_t>(kGenMask);
+    GDVR_ASSERT(ln.live > 0);
+    --ln.live;
+  }
+
   static void lane_cancel(Lane& ln, EventId id) {
     const std::uint32_t slot = slot_of(id);
     GDVR_ASSERT(slot < ln.slots.size());
     Slot& s = ln.slots[slot];
-    if (!s.live || s.gen != gen_of(id)) return;  // already fired or cancelled
-    lane_release(ln, slot);  // heap entry becomes a tombstone
+    if (!holds(s, id)) return;  // already fired, running or cancelled
+    lane_retire(ln, s);         // its heap entry becomes a tombstone
+    s.fn.reset();
+    ln.free.push_back(slot);
   }
 
-  static void lane_release(Lane& ln, std::uint32_t slot) {
+  // Runs a live event in place: retire its id first (a cancel from inside
+  // the callback is then a no-op), invoke the callable where it lies, then
+  // destroy it and free the slot. The slot is not on the free list while
+  // the callback runs, so nothing the callback schedules can land in it.
+  static void lane_run(Lane& ln, const EventHeap::Entry& e) {
+    const std::uint32_t slot = slot_of(e.id);
     Slot& s = ln.slots[slot];
-    s.fn = nullptr;
-    s.live = false;
-    ++s.gen;  // invalidate every outstanding EventId for this slot
+    ln.now = e.at;
+    lane_retire(ln, s);
+    s.fn();
+    s.fn.reset();
     ln.free.push_back(slot);
-    GDVR_ASSERT(ln.live > 0);
-    --ln.live;
   }
 
   // Earliest live event time of a lane, popping tombstones; +inf when empty.
   static Time lane_peek(Lane& ln) {
     while (!ln.queue.empty()) {
       const EventHeap::Entry& e = ln.queue.top();
-      const std::uint32_t slot = slot_of(e.id);
-      if (ln.slots[slot].live && ln.slots[slot].gen == gen_of(e.id)) return e.at;
+      if (holds(ln.slots[slot_of(e.id)], e.id)) return e.at;
       ln.queue.pop();
     }
     return kInfTime;
@@ -321,9 +432,10 @@ class Simulator {
   static constexpr Time kInfTime = 1e300;
 
   // --- serial engine -------------------------------------------------------
-  EventId serial_schedule(Time at, std::function<void()> fn) {
+  template <typename F>
+  EventId serial_schedule(Time at, F&& fn) {
     GDVR_ASSERT_MSG(at >= serial_.now, "cannot schedule in the past");
-    return lane_push(serial_, kGlobalLane, at, std::move(fn));
+    return lane_push(serial_, kGlobalLane, at, std::forward<F>(fn));
   }
 
   bool serial_step() {
@@ -331,15 +443,8 @@ class Simulator {
     while (!ln.queue.empty()) {
       const EventHeap::Entry e = ln.queue.top();
       ln.queue.pop();
-      const std::uint32_t slot = slot_of(e.id);
-      Slot& s = ln.slots[slot];
-      if (!s.live || s.gen != gen_of(e.id)) continue;  // cancelled tombstone
-      ln.now = e.at;
-      // Move the callback out and reclaim the slot before running, so the
-      // callback can schedule new events (possibly reusing this very slot).
-      auto fn = std::move(s.fn);
-      lane_release(ln, slot);
-      fn();
+      if (!holds(ln.slots[slot_of(e.id)], e.id)) continue;  // cancelled tombstone
+      lane_run(ln, e);
       return true;
     }
     GDVR_ASSERT(ln.live == 0);
@@ -349,7 +454,7 @@ class Simulator {
   // --- sharded engine (src/sim/engine.cpp) ---------------------------------
   struct Sharded;
   int node_lane(int node) const;
-  EventId sharded_schedule(int lane, Time at, std::function<void()> fn);
+  EventId sharded_schedule(int lane, Time at, EventFn&& fn);
   void sharded_cancel(EventId id);
   void sharded_run_until(Time t);
   static void run_lane(Lane& ln, Time cap);

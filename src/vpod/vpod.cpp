@@ -43,7 +43,7 @@ void Vpod::start(NodeId starting_node) {
   receive_token(starting_node, NodeInfo{});
 }
 
-void Vpod::handle(NodeId to, NodeId from, Envelope msg) {
+void Vpod::handle(NodeId to, NodeId from, Envelope&& msg) {
   if (msg.kind == Kind::kToken) {
     receive_token(to, msg.origin_info);
     return;

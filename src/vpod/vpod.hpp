@@ -86,7 +86,7 @@ class Vpod {
   void join_node(NodeId u);
 
   // Receiver entry point.
-  void handle(NodeId to, NodeId from, Envelope msg);
+  void handle(NodeId to, NodeId from, Envelope&& msg);
 
  private:
   struct NodeCtl {

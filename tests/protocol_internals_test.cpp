@@ -364,7 +364,7 @@ TEST(ProtocolInternals, StaleIncarnationMessageCannotMutateNewLife) {
   stale.origin_info =
       NodeInfo{2, Vec{99.0, 99.0}, 0.5, true, /*pos_version=*/1u << 30, old_inc};
   const std::uint64_t dropped_before = line.overlay->fd_stats().stale_incarnation_dropped;
-  line.overlay->handle(1, 2, stale);
+  line.overlay->handle(1, 2, std::move(stale));
   EXPECT_EQ(line.overlay->phys_info(1).at(2).pos, fresh_pos);
   EXPECT_EQ(line.overlay->phys_info(1).at(2).incarnation, old_inc + 1);
   EXPECT_EQ(line.overlay->fd_stats().stale_incarnation_dropped, dropped_before + 1);
@@ -379,7 +379,7 @@ TEST(ProtocolInternals, StaleIncarnationMessageCannotMutateNewLife) {
   gossip.origin_info.incarnation = line.net->incarnation(0);
   gossip.nbr_infos.push_back(
       NodeInfo{2, Vec{99.0, 99.0}, 0.5, true, /*pos_version=*/1u << 30, old_inc});
-  line.overlay->handle(1, 0, gossip);
+  line.overlay->handle(1, 0, std::move(gossip));
   line.sim.run_until(line.sim.now() + 2.0);
   line.overlay->for_each_neighbor(1, [&](const NeighborView& v) {
     if (v.id == 2) {
@@ -414,7 +414,7 @@ TEST(ProtocolInternals, FirstHandContactWinsFreshnessTies) {
   update.origin_info.err = 0.125;
   update.route = {2, 0, 1};
   update.route_idx = 1;  // the hub relayed it
-  star.overlay->handle(1, 0, update);
+  star.overlay->handle(1, 0, std::move(update));
   EXPECT_DOUBLE_EQ(stored_err(1, 2), 0.125);
 
   Envelope reply;
@@ -425,7 +425,7 @@ TEST(ProtocolInternals, FirstHandContactWinsFreshnessTies) {
   reply.route = {0, 1};
   reply.nbr_infos.push_back(advertised);
   reply.nbr_infos.back().err = 0.5;
-  star.overlay->handle(1, 0, reply);
+  star.overlay->handle(1, 0, std::move(reply));
   EXPECT_DOUBLE_EQ(stored_err(1, 2), 0.125);
 }
 
@@ -457,7 +457,7 @@ TEST(ProtocolInternals, ReplyRouteSurvivesMergingUnseenNeighbors) {
   for (NodeId id : {0, 1, 2})
     req.nbr_infos.push_back(
         NodeInfo{id, line.overlay->position(id), 1.0, true, 1, line.net->incarnation(id)});
-  line.overlay->handle(3, 4, req);
+  line.overlay->handle(3, 4, std::move(req));
   // Long enough for four hops, short of the replier's recompute (0.7 s),
   // whose own syncs would add replies and candidates.
   line.sim.run_until(line.sim.now() + 0.3);

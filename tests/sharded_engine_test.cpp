@@ -10,15 +10,20 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "eval/protocol_runner.hpp"
+#include "graph/graph.hpp"
+#include "in_place_checks.hpp"
 #include "obs/metrics.hpp"
 #include "radio/topology.hpp"
 #include "sim/churn.hpp"
+#include "sim/netsim.hpp"
 #include "sim/simulator.hpp"
 #include "vpod/live_gdv.hpp"
 
@@ -219,6 +224,60 @@ TEST(ShardedEngine, LaneSchedulingSemantics) {
   EXPECT_DOUBLE_EQ(fired1[0], 0.16);  // cross-lane ping: 0.1 + 0.06
   EXPECT_DOUBLE_EQ(fired1[1], 0.3);
   EXPECT_TRUE(sim.empty());
+}
+
+// Two nodes, one per shard, on two worker threads: the engine the run-in-place
+// checks (in_place_checks.hpp) exercise on node 1's lane.
+std::unique_ptr<sim::Simulator> two_lane_simulator() {
+  auto sim = std::make_unique<sim::Simulator>();
+  sim->add_lookahead_provider([] { return 0.05; });
+  sim->configure_sharding({0, 1}, /*threads=*/2);
+  return sim;
+}
+
+TEST(ShardedEngine, CallbackOutlivesSlotGrowth) {
+  test::expect_callback_outlives_slot_growth(*two_lane_simulator(), 1);
+}
+
+TEST(ShardedEngine, SelfCancelIsANoOp) {
+  test::expect_self_cancel_is_a_no_op(*two_lane_simulator(), 1);
+}
+
+TEST(ShardedEngine, CapturesAreReleasedExactlyOnce) {
+  test::expect_captures_released_once(two_lane_simulator, 1);
+}
+
+// A cross-lane delivery's closure is buffered in the sender lane's outbox and
+// merged into the receiver's lane at the barrier, both inline: once the
+// slots, heaps and outbox have grown to a batch's size, sending another batch
+// of moved messages from node 0's lane and delivering it on node 1's lane
+// allocates nothing.
+TEST(ShardedEngine, SteadyStateCrossLaneDeliveryAllocatesNothing) {
+  struct Payload {
+    std::vector<int> data;
+  };
+  const std::unique_ptr<sim::Simulator> sim = two_lane_simulator();
+  graph::GraphBuilder gb(2);
+  gb.add_bidirectional(0, 1, 1.0, 1.0);
+  const graph::Graph g = gb.build();
+  sim::NetSim<Payload> net(*sim, g, 0.1, 0.2, 42);
+  std::size_t received = 0;  // written on node 1's lane only
+  net.set_receiver([&received](int, int, Payload&& m) { received += m.data.size(); });
+  constexpr std::size_t kBatch = 256;
+  std::vector<Payload> msgs;
+  const auto batch = [&] {
+    msgs.assign(kBatch, Payload{std::vector<int>(8, 7)});
+    const test::CountAllocations count;
+    sim->schedule_in_node(0, 0.01, [&msgs, &net] {
+      for (Payload& m : msgs) net.send(0, 1, std::move(m));
+    });
+    sim->run_until(sim->now() + 1.0);
+    return count.count();
+  };
+  batch();  // warm-up
+  EXPECT_EQ(batch(), 0u);
+  EXPECT_EQ(received, 2 * kBatch * 8);
+  EXPECT_GT(sim->sharded_stats().outbox_peak, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 // Tests for the discrete-event simulator and the network message layer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "graph/graph.hpp"
+#include "in_place_checks.hpp"
 #include "mdt/messages.hpp"
 #include "sim/netsim.hpp"
 #include "sim/simulator.hpp"
@@ -170,6 +175,44 @@ TEST(Simulator, InvalidEventIdIsNeverIssuedAndSafeToCancel) {
   EXPECT_NE(id, Simulator::kInvalidEvent);
   sim.run_all();
   EXPECT_TRUE(fired);
+}
+
+// An EventId carries 24 bits of its slot's generation. A slot reused 2^24
+// times must still match the ids it issues, or its live event is popped as
+// a tombstone and lost. Each event of a self-rescheduling chain runs in its
+// slot while it schedules the next, so the chain alternates two slots and
+// takes 2^25 events to carry one of them past 2^24.
+TEST(Simulator, SlotGenerationWrapsWithoutLosingEvents) {
+  struct Chain {
+    Simulator* sim;
+    std::uint64_t* fired;
+    std::uint64_t total;
+    void operator()() const {
+      if (++*fired < total) sim->schedule_in(1.0, *this);
+    }
+  };
+  Simulator sim;
+  std::uint64_t fired = 0;
+  const std::uint64_t total = (std::uint64_t{1} << 25) + 8;
+  sim.schedule_in(1.0, Chain{&sim, &fired, total});
+  sim.run_until(static_cast<double>(total) + 1.0);
+  EXPECT_EQ(fired, total);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_LE(sim.slot_capacity(), 2u);
+}
+
+TEST(Simulator, CallbackOutlivesSlotGrowth) {
+  Simulator sim;
+  test::expect_callback_outlives_slot_growth(sim, 0);
+}
+
+TEST(Simulator, SelfCancelIsANoOp) {
+  Simulator sim;
+  test::expect_self_cancel_is_a_no_op(sim, 0);
+}
+
+TEST(Simulator, CapturesAreReleasedExactlyOnce) {
+  test::expect_captures_released_once([] { return std::make_unique<Simulator>(); }, 0);
 }
 
 // ---------- NetSim ----------
@@ -470,6 +513,32 @@ TEST(NetSim, DuplicateCarriesTheWholeEnvelope) {
     }
   }
   EXPECT_EQ(net.messages_duplicated(), 1u);
+}
+
+// A delivery's closure, message included, lives in its event slot: once the
+// slots, heap and free list have grown to a batch's size, sending another
+// batch of moved messages and delivering it allocates nothing.
+TEST(NetSim, SteadyStateDeliveryAllocatesNothing) {
+  struct Payload {
+    std::vector<int> data;
+  };
+  Simulator sim;
+  const graph::Graph g = triangle();
+  NetSim<Payload> net(sim, g, 0.1, 0.2, 42);
+  std::size_t received = 0;
+  net.set_receiver([&received](int, int, Payload&& m) { received += m.data.size(); });
+  constexpr std::size_t kBatch = 256;
+  std::vector<Payload> msgs;
+  const auto batch = [&] {
+    msgs.assign(kBatch, Payload{std::vector<int>(8, 7)});
+    const test::CountAllocations count;
+    for (Payload& m : msgs) net.send(0, 1, std::move(m));
+    sim.run_all();
+    return count.count();
+  };
+  batch();  // warm-up
+  EXPECT_EQ(batch(), 0u);
+  EXPECT_EQ(received, 2 * kBatch * 8);
 }
 
 TEST(NetSim, DelayFactorStretchesDeliveryTimes) {
