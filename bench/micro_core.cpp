@@ -124,11 +124,9 @@ BENCHMARK(BM_LocalDelaunayStar)
     ->Args({100, 3})
     ->Args({200, 3});
 
-// Distance Vector convergence with delta vs full-table triggered updates:
-// same topology, same schedule, the counter records the (dest, cost) entries
-// shipped -- the Theta(N)-per-trigger vs O(changed) trade.
+// Distance Vector convergence with delta triggered updates; the counter
+// records the (dest, cost) entries shipped, periodic full tables included.
 void BM_DeltaDvRound(benchmark::State& state) {
-  const bool delta = state.range(0) != 0;
   static const radio::Topology topo = [] {
     radio::TopologyConfig tc;
     tc.n = 60;
@@ -136,22 +134,19 @@ void BM_DeltaDvRound(benchmark::State& state) {
     tc.target_avg_degree = 14.5;
     return radio::make_random_topology(tc);
   }();
-  routing::DvConfig cfg;
-  cfg.delta_updates = delta;
   std::uint64_t entries = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     sim::NetSim<routing::DvMsg> net(sim, topo.etx, 0.001, 0.01, 7);
-    routing::DistanceVector dv(net, cfg);
+    routing::DistanceVector dv(net);
     dv.start();
     sim.run_until(20.0);
     const auto s = dv.dv_stats();
     entries = s.entries_full + s.entries_delta;
   }
   state.counters["entries_shipped"] = static_cast<double>(entries);
-  state.SetLabel(delta ? "delta" : "full");
 }
-BENCHMARK(BM_DeltaDvRound)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeltaDvRound)->Unit(benchmark::kMillisecond);
 
 // One full maintenance round (adjustment period) of a converged 120-node
 // VPoD/MDT network: position sampling, neighbor-set sync, and every
@@ -263,21 +258,6 @@ void BM_TopologyGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopologyGeneration)->Arg(100)->Arg(400)->Arg(2000);
-
-// The retired O(n^2) pair scan, kept as the equivalence oracle; the ratio to
-// BM_TopologyGeneration/400 is the spatial grid's win at paper scale.
-void BM_TopologyGenerationAllPairs(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  radio::TopologyConfig tc;
-  tc.n = n;
-  tc.link_scan = radio::LinkScanMode::kAllPairs;
-  std::uint64_t seed = 21;
-  for (auto _ : state) {
-    tc.seed = seed++;
-    benchmark::DoNotOptimize(radio::make_random_topology(tc).size());
-  }
-}
-BENCHMARK(BM_TopologyGenerationAllPairs)->Arg(400);
 
 // The serial event loop in isolation: a ring of self-rescheduling timers,
 // measuring schedule + heap pop + slot recycle per event. This is the

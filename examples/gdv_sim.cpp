@@ -48,7 +48,7 @@ void usage() {
       "  --periods P      adjustment periods to run (default 12)\n"
       "  --pairs K        sampled src-dst pairs, 0 = all (default 400)\n"
       "  --cc X           VPoD position tuning parameter (default 0.1)\n"
-      "  --degree X       target average physical degree (default 14.5)\n"
+      "  --degree X       target average physical degree, 0 < X <= N - 1 (default 14.5)\n"
       "  --seed S         RNG seed (default 1)\n"
       "  --fixed-timeout T  use a fixed adjustment timeout of T seconds\n"
       "  --per-period     print routing quality after every period\n",
@@ -105,6 +105,10 @@ bool parse(int argc, char** argv, Args& a) {
     return false;
   };
   if (a.nodes < 2) return reject("--nodes must be at least 2");
+  // Written so that NaN fails too. Above nodes - 1 the calibration would pin
+  // the power at its +30 dBm edge and run at whatever degree that gives.
+  if (!(a.degree > 0.0 && a.degree <= a.nodes - 1))
+    return reject("--degree must be > 0 and at most --nodes - 1");
   if (a.space_dim != 2 && a.space_dim != 3) return reject("--space-dim must be 2 or 3");
   if (a.obstacles < 0) return reject("--obstacles must be >= 0");
   if (a.obstacles > 0 && a.space_dim != 2) return reject("--obstacles needs --space-dim 2");

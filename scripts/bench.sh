@@ -26,14 +26,16 @@
 #                                    # dir (deleted on exit), builds its
 #                                    # micro_core (Release) into build-rel-base/,
 #                                    # then runs both binaries over the same rows
-#                                    # in 3 rounds, alternating which goes first.
-#                                    # Each row is scored by its median real_time
-#                                    # over the rounds; exits nonzero if any row's
-#                                    # this-tree/REV ratio exceeds
-#                                    # 1 + GDVR_BENCH_TOLERANCE. Rows present on
-#                                    # one side only are listed. `--compare-rev
-#                                    # HEAD` measures the working tree against its
-#                                    # last commit; no JSON rewrite.
+#                                    # in 8 rounds at 0.2 s per row, alternating
+#                                    # which goes first (about 6 minutes for the
+#                                    # full suite). Each row is scored by its
+#                                    # median real_time over the rounds; exits
+#                                    # nonzero if any row's this-tree/REV ratio
+#                                    # exceeds 1 + GDVR_BENCH_TOLERANCE. Rows
+#                                    # present on one side only are listed.
+#                                    # `--compare-rev HEAD` measures the working
+#                                    # tree against its last commit; no JSON
+#                                    # rewrite.
 #   scripts/bench.sh --profile       # GDVR_PROFILE=1 run: appends the scoped
 #                                    # timer report (Delaunay build, overlay
 #                                    # recompute, dijkstra) to stderr;
@@ -97,9 +99,14 @@ if [[ -n "$COMPARE_REV" ]]; then
   rm -rf build-rel-base
   cmake -S "$BASE_SRC" -B build-rel-base -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build-rel-base -j "$JOBS" --target micro_core
-  ROW_ARGS=(--benchmark_min_time=0.05)
+  # Rounds and per-row time: 3 rounds at 0.05 s let host drift of up to
+  # 1.8x on one side flag a rotating set of untouched small kernels at
+  # 1.3-1.4x; the median of 8 rounds at 0.2 s holds identical code within
+  # the 25% tolerance.
+  ROUNDS=8
+  ROW_ARGS=(--benchmark_min_time=0.2)
   [[ -n "$FILTER" ]] && ROW_ARGS+=(--benchmark_filter="$FILTER")
-  for round in 1 2 3; do
+  for round in $(seq "$ROUNDS"); do
     # Alternate which binary runs first, so a drift in host load over the
     # window lands on both sides.
     if (( round % 2 == 1 )); then sides=(base change); else sides=(change base); fi

@@ -16,6 +16,7 @@
 // metric graphs are read-only once built).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -54,14 +55,16 @@ class ParallelTrials {
   // Runs fn(0), fn(1), ..., fn(count - 1) across the workers and returns the
   // results in index order. The result type must be default-constructible
   // and movable. If any trial throws, the first exception (by completion
-  // order) is rethrown after all workers drain.
+  // order) is rethrown after all workers drain. When only one worker would
+  // run (one thread, or one trial), the trials run on the calling thread.
   template <typename Fn>
   auto run(int count, Fn&& fn) -> std::vector<decltype(fn(0))> {
     using R = decltype(fn(0));
     std::vector<R> results(static_cast<std::size_t>(count));
     if (count <= 0) return results;
 
-    if (threads_ <= 1) {
+    const int nw = std::min(threads_, count);
+    if (nw <= 1) {
       for (int i = 0; i < count; ++i) results[static_cast<std::size_t>(i)] = fn(i);
       return results;
     }
@@ -82,7 +85,6 @@ class ParallelTrials {
       }
     };
     std::vector<std::thread> pool;
-    const int nw = std::min(threads_, count);
     pool.reserve(static_cast<std::size_t>(nw));
     for (int t = 0; t < nw; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();

@@ -59,8 +59,8 @@ inline double prr(const LinkModelParams& p, double distance_m, double shadow_db,
 }
 
 // Distance beyond which even a very lucky (-4 sigma shadowing, +3 sigma
-// hardware) link cannot clear `prr_threshold`; used to prune the O(n^2) pair
-// scan during topology generation.
+// hardware) link cannot clear `prr_threshold`; the topology generator's
+// link sweep only visits pairs closer than this.
 double max_link_distance(const LinkModelParams& p, double prr_threshold);
 
 // SNR (dB) at which prr_from_snr_db crosses `prr_threshold`. PRR is strictly

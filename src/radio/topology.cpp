@@ -40,6 +40,27 @@ struct NodeHardware {
   double noise_offset_db = 0.0;
 };
 
+// Per-node hardware variance (makes links asymmetric). Every generator draws
+// it from the topology's Rng right after the obstacles.
+std::vector<NodeHardware> draw_hardware(std::size_t n, const LinkModelParams& radio, Rng& rng) {
+  std::vector<NodeHardware> hw(n);
+  for (auto& h : hw) {
+    h.tx_offset_db = rng.normal(0.0, radio.tx_power_var_db);
+    h.noise_offset_db = rng.normal(0.0, radio.noise_var_db);
+  }
+  return hw;
+}
+
+// Everything a topology draws from Rng(seed) before its links -- obstacles,
+// node positions, per-node hardware -- plus the box the link sweep's grid
+// covers. None of it depends on the transmit power.
+struct Placement {
+  std::vector<Obstacle> obstacles;
+  std::vector<Vec> positions;
+  std::vector<NodeHardware> hw;
+  Vec extent;
+};
+
 // ---------------------------------------------------------------------------
 // Counter-based per-pair randomness.
 //
@@ -47,8 +68,8 @@ struct NodeHardware {
 // stream whose state is a hash of (seed, i, j) rather than from the
 // generator's sequential Rng. A pair's draws therefore do not depend on how
 // many other pairs were visited before it, which is what lets the spatial
-// grid skip far-apart pairs, lets the sweep run on worker threads, and keeps
-// LinkScanMode::kGrid bit-identical to LinkScanMode::kAllPairs.
+// grid skip far-apart pairs and lets the sweep run on worker threads without
+// changing a single link.
 
 inline std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -202,20 +223,18 @@ struct LinkRec {
   double en_ij = 0.0, en_ji = 0.0;
 };
 
-// Shared per-pair realization used by both scan modes. Admission is decided
-// with a single compare in the SNR domain: PRR is strictly increasing in
-// SNR, so min(prr_ij, prr_ji) > threshold iff the pair's shadowing sample
-// falls below `s_adm`, the shadow-free worst-direction SNR margin over
-// snr_threshold_db. Two deterministic pre-gates avoid even drawing for
-// hopeless pairs: the global d_max cutoff (as before), and a per-pair
-// squared-distance bound equivalent to s_adm <= -4 sigma -- consistent with
-// max_link_distance(), which already truncates the shadowing tail at
-// -4 sigma. The exact transcendental PRR chain runs only for admitted pairs.
+// Per-pair link realization. Admission is decided with a single compare in
+// the SNR domain: PRR is strictly increasing in SNR, so min(prr_ij, prr_ji) >
+// threshold iff the pair's shadowing sample falls below `s_adm`, the
+// shadow-free worst-direction SNR margin over snr_threshold_db. Two
+// deterministic pre-gates avoid even drawing for hopeless pairs: the global
+// d_max cutoff, and a per-pair squared-distance bound equivalent to
+// s_adm <= -4 sigma -- consistent with max_link_distance(), which already
+// truncates the shadowing tail at -4 sigma. The exact transcendental PRR
+// chain runs only for admitted pairs.
 struct LinkRealizer {
   const TopologyConfig* config = nullptr;
-  const std::vector<Vec>* positions = nullptr;
-  const std::vector<Obstacle>* obstacles = nullptr;
-  const std::vector<NodeHardware>* hw = nullptr;
+  const Placement* placement = nullptr;
 
   double d_max = 0.0, d_max2 = 0.0;
   double ref2 = 1.0;       // ref_distance^2
@@ -250,12 +269,11 @@ struct LinkRealizer {
   std::vector<double> px, py, pz;  // pz empty in 2D
   std::uint64_t seed_hash = 0;     // PairRng::seed_hash(config.seed)
 
-  void init(const TopologyConfig& cfg, const std::vector<Vec>& pos,
-            const std::vector<Obstacle>& obs, const std::vector<NodeHardware>& hardware) {
+  void init(const TopologyConfig& cfg, const Placement& pl) {
     config = &cfg;
-    positions = &pos;
-    obstacles = &obs;
-    hw = &hardware;
+    placement = &pl;
+    const std::vector<Vec>& pos = pl.positions;
+    const std::vector<NodeHardware>& hardware = pl.hw;
     const LinkModelParams& p = cfg.radio;
     d_max = max_link_distance(p, cfg.prr_threshold);
     d_max2 = d_max * d_max;
@@ -305,21 +323,8 @@ struct LinkRealizer {
     seed_hash = PairRng::seed_hash(cfg.seed);
   }
 
-  // Cheap inline prefilter: squared distance from the flat arrays plus the
-  // global radio-range cutoff. Only in-range pairs reach the out-of-line
-  // realization body.
-  bool realize(int i, int j, PairDraw& rec) const {
-    const std::size_t si = static_cast<std::size_t>(i), sj = static_cast<std::size_t>(j);
-    const double dx = px[si] - px[sj], dy = py[si] - py[sj];
-    double d2 = dx * dx + dy * dy;
-    if (!pz.empty()) {
-      const double dz = pz[si] - pz[sj];
-      d2 += dz * dz;
-    }
-    if (d2 > d_max2 || d2 <= 0.0) return false;
-    return realize_in_range(i, j, d2, rec);
-  }
-
+  // Realizes pair (i, j) at squared distance d2 <= d_max2; true and `rec`
+  // filled iff the link is admitted.
   bool realize_in_range(int i, int j, double d2, PairDraw& rec) const {
     double u = 0.0;
     std::uint64_t state = 0;
@@ -383,10 +388,11 @@ struct LinkRealizer {
     const double pf = att / plin;
     PairRng prng = PairRng::from_state(state);
     const double rate = prng.uniform(config->min_rate_mbps, config->max_rate_mbps);
-    if (!obstacles->empty()) {
-      const Vec& a = (*positions)[si];
-      const Vec& b = (*positions)[sj];
-      if (std::any_of(obstacles->begin(), obstacles->end(),
+    const std::vector<Obstacle>& obstacles = placement->obstacles;
+    if (!obstacles.empty()) {
+      const Vec& a = placement->positions[si];
+      const Vec& b = placement->positions[sj];
+      if (std::any_of(obstacles.begin(), obstacles.end(),
                       [&](const Obstacle& o) { return o.blocks(a, b); }))
         return false;
     }
@@ -460,87 +466,99 @@ struct SpatialGrid {
   }
 };
 
-// Link realization + graph assembly over already-placed positions. Shared by
-// generate() and make_topology_from_positions(): `topo` arrives with
-// positions/obstacles/radio set, and everything downstream keys off
-// topo.size(), so the same code serves config-placed and caller-placed nodes.
-void realize_and_assemble(const TopologyConfig& config, Topology& topo,
-                          const std::vector<NodeHardware>& hw, const Vec& extent) {
-  const int n = topo.size();
-  // One symmetric shadowing sample and one nominal rate per pair, drawn from
-  // the counter-based PairRng; asymmetry comes from the per-node hardware
-  // offsets, as in the original link-layer simulator.
-  LinkRealizer realizer;
-  realizer.init(config, topo.positions, topo.obstacles, hw);
-
-  // Admitted pairs in (i, j) order, as a list of chunks (the parallel sweep
-  // produces one list per row chunk; gluing them would just copy megabytes,
-  // so the assembly passes below iterate the chunks in place).
-  std::vector<std::vector<PairDraw>> chunk_links;
-  if (config.link_scan == LinkScanMode::kAllPairs) {
-    std::vector<PairDraw>& draws = chunk_links.emplace_back();
-    PairDraw rec;
-    for (int i = 0; i < n; ++i)
-      for (int j = i + 1; j < n; ++j)
-        if (realizer.realize(i, j, rec)) draws.push_back(rec);
-  } else {
-    const SpatialGrid grid(topo.positions, extent, realizer.d_max);
-    // Fan row chunks over the worker pool. Chunk boundaries are fixed (not
-    // thread-count dependent) and results are concatenated in chunk order,
-    // so the admitted link list -- and with it every graph -- is identical
-    // no matter how many workers ran the sweep.
-    constexpr int kRowsPerChunk = 64;
-    const int chunks = (n + kRowsPerChunk - 1) / kRowsPerChunk;
-    ParallelTrials pool;
-    auto result = pool.run(chunks, [&](int c) {
-      std::vector<PairDraw> out;
-      PairDraw rec;
-      const int lo = c * kRowsPerChunk;
-      const int hi = std::min(n, lo + kRowsPerChunk);
-      out.reserve(static_cast<std::size_t>(hi - lo) * 8);
-      const bool three_d = !realizer.pz.empty();
-      for (int i = lo; i < hi; ++i) {
-        const std::size_t si = static_cast<std::size_t>(i);
-        const Vec& p = topo.positions[si];
-        const std::size_t row_start = out.size();
-        const double xi = realizer.px[si], yi = realizer.py[si];
-        const double zi = three_d ? realizer.pz[si] : 0.0;
-        const int cx = grid.coord(p, 0), cy = grid.coord(p, 1);
-        const int cz = grid.dim == 3 ? grid.coord(p, 2) : 0;
-        const int z_lo = std::max(0, cz - grid.range[2]);
-        const int z_hi = grid.dim == 3 ? std::min(grid.counts[2] - 1, cz + grid.range[2]) : 0;
-        for (int z = z_lo; z <= z_hi; ++z)
-          for (int y = std::max(0, cy - grid.range[1]);
-               y <= std::min(grid.counts[1] - 1, cy + grid.range[1]); ++y)
-            for (int x = std::max(0, cx - grid.range[0]);
-                 x <= std::min(grid.counts[0] - 1, cx + grid.range[0]); ++x) {
-              const auto& bucket =
-                  grid.cells[static_cast<std::size_t>((z * grid.counts[1] + y) * grid.counts[0] + x)];
-              // Bucket ids ascend, so the j > i suffix starts at upper_bound.
-              for (auto it = std::upper_bound(bucket.begin(), bucket.end(), i);
-                   it != bucket.end(); ++it) {
-                const int j = *it;
-                const std::size_t sj = static_cast<std::size_t>(j);
-                const double dx = xi - realizer.px[sj], dy = yi - realizer.py[sj];
-                double d2 = dx * dx + dy * dy;
-                if (three_d) {
-                  const double dz = zi - realizer.pz[sj];
-                  d2 += dz * dz;
-                }
-                if (d2 <= realizer.d_max2 && d2 > 0.0 &&
-                    realizer.realize_in_range(i, j, d2, rec))
-                  out.push_back(rec);
-              }
-            }
-        // Cells are visited in arbitrary spatial order; restore the (i, j)
-        // lexicographic order the all-pairs oracle produces.
-        std::sort(out.begin() + static_cast<std::ptrdiff_t>(row_start), out.end(),
-                  [](const PairDraw& a, const PairDraw& b) { return a.j < b.j; });
-      }
-      return out;
-    });
-    chunk_links = std::move(result);
+// Places config.n nodes uniformly in the config's box, rejecting positions
+// inside obstacles. Draw order on Rng(seed): obstacles, positions, hardware.
+Placement place_random(const TopologyConfig& config) {
+  GDVR_ASSERT(config.space_dim == 2 || config.space_dim == 3);
+  GDVR_ASSERT_MSG(config.space_dim == 2 || config.num_obstacles == 0,
+                  "obstacles are modeled in 2D only");
+  Rng rng(config.seed);
+  Placement pl;
+  pl.obstacles = random_obstacles(config.num_obstacles, config.obstacle_size_m, config.width_m,
+                                  config.height_m, rng);
+  pl.extent = config.space_dim == 2 ? Vec{config.width_m, config.height_m}
+                                    : Vec{config.width_m, config.height_m, config.depth_m};
+  pl.positions.reserve(static_cast<std::size_t>(config.n));
+  for (int i = 0; i < config.n; ++i) {
+    Vec p;
+    for (int attempt = 0; attempt < 10000; ++attempt) {
+      p = rng.point_in_box(pl.extent);
+      const bool inside = std::any_of(pl.obstacles.begin(), pl.obstacles.end(),
+                                      [&](const Obstacle& o) { return o.contains(p); });
+      if (!inside) break;
+    }
+    pl.positions.push_back(p);
   }
+  pl.hw = draw_hardware(pl.positions.size(), config.radio, rng);
+  return pl;
+}
+
+// The grid sweep: every pair the realizer admits, in (i, j) order, as one
+// list per row chunk (gluing them would just copy megabytes, so callers
+// iterate the chunks in place). Chunk boundaries are fixed, not
+// thread-count dependent, and results come back in chunk order, so the list
+// is identical no matter how many workers ran the sweep.
+std::vector<std::vector<PairDraw>> sweep(const LinkRealizer& realizer, const Placement& pl) {
+  const int n = static_cast<int>(pl.positions.size());
+  const SpatialGrid grid(pl.positions, pl.extent, realizer.d_max);
+  constexpr int kRowsPerChunk = 64;
+  const int chunks = (n + kRowsPerChunk - 1) / kRowsPerChunk;
+  return ParallelTrials().run(chunks, [&](int c) {
+    std::vector<PairDraw> out;
+    PairDraw rec;
+    const int lo = c * kRowsPerChunk;
+    const int hi = std::min(n, lo + kRowsPerChunk);
+    out.reserve(static_cast<std::size_t>(hi - lo) * 8);
+    const bool three_d = !realizer.pz.empty();
+    for (int i = lo; i < hi; ++i) {
+      const std::size_t si = static_cast<std::size_t>(i);
+      const Vec& p = pl.positions[si];
+      const std::size_t row_start = out.size();
+      const double xi = realizer.px[si], yi = realizer.py[si];
+      const double zi = three_d ? realizer.pz[si] : 0.0;
+      const int cx = grid.coord(p, 0), cy = grid.coord(p, 1);
+      const int cz = grid.dim == 3 ? grid.coord(p, 2) : 0;
+      const int z_lo = std::max(0, cz - grid.range[2]);
+      const int z_hi = grid.dim == 3 ? std::min(grid.counts[2] - 1, cz + grid.range[2]) : 0;
+      for (int z = z_lo; z <= z_hi; ++z)
+        for (int y = std::max(0, cy - grid.range[1]);
+             y <= std::min(grid.counts[1] - 1, cy + grid.range[1]); ++y)
+          for (int x = std::max(0, cx - grid.range[0]);
+               x <= std::min(grid.counts[0] - 1, cx + grid.range[0]); ++x) {
+            const auto& bucket =
+                grid.cells[static_cast<std::size_t>((z * grid.counts[1] + y) * grid.counts[0] + x)];
+            // Bucket ids ascend, so the j > i suffix starts at upper_bound.
+            for (auto it = std::upper_bound(bucket.begin(), bucket.end(), i);
+                 it != bucket.end(); ++it) {
+              const int j = *it;
+              const std::size_t sj = static_cast<std::size_t>(j);
+              const double dx = xi - realizer.px[sj], dy = yi - realizer.py[sj];
+              double d2 = dx * dx + dy * dy;
+              if (three_d) {
+                const double dz = zi - realizer.pz[sj];
+                d2 += dz * dz;
+              }
+              if (d2 <= realizer.d_max2 && d2 > 0.0 && realizer.realize_in_range(i, j, d2, rec))
+                out.push_back(rec);
+            }
+          }
+      // Cells are visited in spatial order; restore ascending j in the row.
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(row_start), out.end(),
+                [](const PairDraw& a, const PairDraw& b) { return a.j < b.j; });
+    }
+    return out;
+  });
+}
+
+// Link realization and graph assembly over a placement; shared by
+// make_random_topology() and make_topology_from_positions(). One symmetric
+// shadowing sample and one nominal rate per pair, drawn from the
+// counter-based PairRng; asymmetry comes from the per-node hardware offsets,
+// as in the original link-layer simulator.
+Topology assemble(const TopologyConfig& config, Placement pl) {
+  LinkRealizer realizer;
+  realizer.init(config, pl);
+  const std::vector<std::vector<PairDraw>> chunk_links = sweep(realizer, pl);
 
   // Counting-sort the directed edges into per-node runs: the CSR arrays the
   // graphs take over. The per-node edge order is exactly the order a
@@ -549,88 +567,40 @@ void realize_and_assemble(const TopologyConfig& config, Topology& topo,
   // pass: iterations are independent, so the expensive exp calls of
   // neighboring links overlap, and the per-link metric record never
   // round-trips through memory.
-  {
-    const std::size_t nn = static_cast<std::size_t>(n);
-    std::vector<std::size_t> off(nn + 1, 0);
-    for (const auto& chunk : chunk_links)
-      for (const PairDraw& d : chunk) {
-        ++off[static_cast<std::size_t>(d.i) + 1];
-        ++off[static_cast<std::size_t>(d.j) + 1];
-      }
-    for (std::size_t u = 0; u < nn; ++u) off[u + 1] += off[u];
-    const std::size_t m = off[nn];
-    std::vector<graph::Edge> fe(m), fh(m), ft(m), fn(m);
-    std::vector<std::size_t> cur(off.begin(), off.end() - 1);
-    for (const auto& chunk : chunk_links)
-      for (const PairDraw& d : chunk) {
-        const LinkRec r = realizer.finish(d);
-        const std::size_t a = cur[static_cast<std::size_t>(r.i)]++;
-        fe[a] = {r.j, r.etx_ij};
-        fh[a] = {r.j, 1.0};
-        ft[a] = {r.j, r.ett_ij};
-        fn[a] = {r.j, r.en_ij};
-        const std::size_t b = cur[static_cast<std::size_t>(r.j)]++;
-        fe[b] = {r.i, r.etx_ji};
-        fh[b] = {r.i, 1.0};
-        ft[b] = {r.i, r.ett_ji};
-        fn[b] = {r.i, r.en_ji};
-      }
-    topo.etx = graph::Graph(off, std::move(fe));
-    topo.hops = graph::Graph(off, std::move(fh));
-    topo.ett = graph::Graph(off, std::move(ft));
-    topo.energy = graph::Graph(std::move(off), std::move(fn));
-  }
-
-  if (config.restrict_to_largest_component) {
-    const std::vector<int> keep = graph::largest_component(topo.etx);
-    if (static_cast<int>(keep.size()) != n) {
-      std::vector<Vec> pos;
-      pos.reserve(keep.size());
-      for (int u : keep) pos.push_back(topo.positions[static_cast<std::size_t>(u)]);
-      topo.positions = std::move(pos);
-      topo.etx = topo.etx.induced_subgraph(keep);
-      topo.hops = topo.hops.induced_subgraph(keep);
-      topo.ett = topo.ett.induced_subgraph(keep);
-      topo.energy = topo.energy.induced_subgraph(keep);
-    }
-  }
-}
-
-Topology generate(const TopologyConfig& config) {
-  GDVR_ASSERT(config.space_dim == 2 || config.space_dim == 3);
-  GDVR_ASSERT_MSG(config.space_dim == 2 || config.num_obstacles == 0,
-                  "obstacles are modeled in 2D only");
-  Rng rng(config.seed);
   Topology topo;
-  topo.radio = config.radio;
-  topo.obstacles =
-      random_obstacles(config.num_obstacles, config.obstacle_size_m, config.width_m,
-                       config.height_m, rng);
-
-  // Place nodes uniformly, rejecting positions inside obstacles.
-  topo.positions.reserve(static_cast<std::size_t>(config.n));
-  Vec extent = config.space_dim == 2 ? Vec{config.width_m, config.height_m}
-                                     : Vec{config.width_m, config.height_m, config.depth_m};
-  for (int i = 0; i < config.n; ++i) {
-    Vec p;
-    for (int attempt = 0; attempt < 10000; ++attempt) {
-      p = rng.point_in_box(extent);
-      const bool inside = std::any_of(topo.obstacles.begin(), topo.obstacles.end(),
-                                      [&](const Obstacle& o) { return o.contains(p); });
-      if (!inside) break;
+  const std::size_t nn = pl.positions.size();
+  std::vector<std::size_t> off(nn + 1, 0);
+  for (const auto& chunk : chunk_links)
+    for (const PairDraw& d : chunk) {
+      ++off[static_cast<std::size_t>(d.i) + 1];
+      ++off[static_cast<std::size_t>(d.j) + 1];
     }
-    topo.positions.push_back(p);
-  }
-
-  // Per-node hardware variance (makes links asymmetric).
-  std::vector<NodeHardware> hw(static_cast<std::size_t>(config.n));
-  for (auto& h : hw) {
-    h.tx_offset_db = rng.normal(0.0, config.radio.tx_power_var_db);
-    h.noise_offset_db = rng.normal(0.0, config.radio.noise_var_db);
-  }
-
-  realize_and_assemble(config, topo, hw, extent);
-  return topo;
+  for (std::size_t u = 0; u < nn; ++u) off[u + 1] += off[u];
+  const std::size_t m = off[nn];
+  std::vector<graph::Edge> fe(m), fh(m), ft(m), fn(m);
+  std::vector<std::size_t> cur(off.begin(), off.end() - 1);
+  for (const auto& chunk : chunk_links)
+    for (const PairDraw& d : chunk) {
+      const LinkRec r = realizer.finish(d);
+      const std::size_t a = cur[static_cast<std::size_t>(r.i)]++;
+      fe[a] = {r.j, r.etx_ij};
+      fh[a] = {r.j, 1.0};
+      ft[a] = {r.j, r.ett_ij};
+      fn[a] = {r.j, r.en_ij};
+      const std::size_t b = cur[static_cast<std::size_t>(r.j)]++;
+      fe[b] = {r.i, r.etx_ji};
+      fh[b] = {r.i, 1.0};
+      ft[b] = {r.i, r.ett_ji};
+      fn[b] = {r.i, r.en_ji};
+    }
+  topo.etx = graph::Graph(off, std::move(fe));
+  topo.hops = graph::Graph(off, std::move(fh));
+  topo.ett = graph::Graph(off, std::move(ft));
+  topo.energy = graph::Graph(std::move(off), std::move(fn));
+  topo.positions = std::move(pl.positions);
+  topo.obstacles = std::move(pl.obstacles);
+  topo.radio = config.radio;
+  return keep_largest_component(std::move(topo));
 }
 
 }  // namespace
@@ -732,18 +702,34 @@ std::vector<Obstacle> random_obstacles(int count, double size_m, double width_m,
 }
 
 double calibrate_tx_power(const TopologyConfig& config, double target_avg_degree) {
+  // Obstacles, positions and hardware come from Rng(seed) and none of them
+  // depends on the power, so each sample is placed once; a step re-runs the
+  // link sweep at its power and only counts what it admits.
+  constexpr int kSamples = 3;
+  const auto sample_seed = [&](int s) {
+    return config.seed + 7919ull * static_cast<std::uint64_t>(s);
+  };
+  TopologyConfig c = config;
+  std::vector<Placement> samples;
+  for (int s = 0; s < kSamples; ++s) {
+    c.seed = sample_seed(s);
+    samples.push_back(place_random(c));
+  }
   double lo = -30.0, hi = 30.0;
   for (int iter = 0; iter < 24; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    TopologyConfig c = config;
     c.radio.tx_power_dbm = mid;
-    c.target_avg_degree = 0.0;
-    c.restrict_to_largest_component = false;
     double degree = 0.0;
-    constexpr int kSamples = 3;
     for (int s = 0; s < kSamples; ++s) {
-      c.seed = config.seed + 7919ull * static_cast<std::uint64_t>(s);
-      degree += generate(c).etx.average_degree();
+      c.seed = sample_seed(s);
+      const Placement& pl = samples[static_cast<std::size_t>(s)];
+      LinkRealizer realizer;
+      realizer.init(c, pl);
+      std::size_t links = 0;
+      for (const auto& chunk : sweep(realizer, pl)) links += chunk.size();
+      // Average degree over every placed node: 2 * links / n.
+      if (!pl.positions.empty())
+        degree += static_cast<double>(2 * links) / static_cast<double>(pl.positions.size());
     }
     degree /= kSamples;
     if (degree < target_avg_degree)
@@ -754,47 +740,63 @@ double calibrate_tx_power(const TopologyConfig& config, double target_avg_degree
   return 0.5 * (lo + hi);
 }
 
+Topology induced_topology(const Topology& topo, std::span<const int> keep) {
+  Topology t;
+  t.positions.reserve(keep.size());
+  for (int u : keep) t.positions.push_back(topo.positions[static_cast<std::size_t>(u)]);
+  t.etx = topo.etx.induced_subgraph(keep);
+  t.hops = topo.hops.induced_subgraph(keep);
+  t.ett = topo.ett.induced_subgraph(keep);
+  t.energy = topo.energy.induced_subgraph(keep);
+  t.obstacles = topo.obstacles;
+  t.radio = topo.radio;
+  return t;
+}
+
+Topology keep_largest_component(Topology topo) {
+  const std::vector<int> keep = graph::largest_component(topo.etx);
+  if (static_cast<int>(keep.size()) == topo.size()) return topo;
+  return induced_topology(topo, keep);
+}
+
 Topology make_random_topology(const TopologyConfig& config) {
   TopologyConfig c = config;
   if (config.target_avg_degree > 0.0)
     c.radio.tx_power_dbm = calibrate_tx_power(config, config.target_avg_degree);
-  return generate(c);
+  return assemble(c, place_random(c));
 }
 
 Topology make_topology_from_positions(const TopologyConfig& config,
                                       std::vector<Vec> positions) {
-  Topology topo;
-  topo.radio = config.radio;
-  if (positions.empty()) return topo;
+  if (positions.empty()) {
+    Topology topo;
+    topo.radio = config.radio;
+    return topo;
+  }
   const int dim = positions.front().dim();
   GDVR_ASSERT(dim == 2 || dim == 3);
   GDVR_ASSERT_MSG(dim == 2 || config.num_obstacles == 0, "obstacles are modeled in 2D only");
-  const int n = static_cast<int>(positions.size());
 
-  // Same seed-keyed draw order as generate(): obstacles first, then per-node
-  // hardware -- only the placement draws are skipped. target_avg_degree is
-  // intentionally NOT honored here (calibration re-places nodes randomly);
-  // callers wanting a target degree calibrate once up front and pass the
-  // resulting tx power in config.radio.
+  // Same seed-keyed draw order as place_random(): obstacles first, then
+  // per-node hardware -- only the placement draws are skipped.
+  // target_avg_degree is intentionally NOT honored here (calibration
+  // re-places nodes randomly); callers wanting a target degree calibrate once
+  // up front and pass the resulting tx power in config.radio.
   Rng rng(config.seed);
-  topo.obstacles = random_obstacles(config.num_obstacles, config.obstacle_size_m,
-                                    config.width_m, config.height_m, rng);
-  topo.positions = std::move(positions);
-  std::vector<NodeHardware> hw(static_cast<std::size_t>(n));
-  for (auto& h : hw) {
-    h.tx_offset_db = rng.normal(0.0, config.radio.tx_power_var_db);
-    h.noise_offset_db = rng.normal(0.0, config.radio.noise_var_db);
-  }
+  Placement pl;
+  pl.obstacles = random_obstacles(config.num_obstacles, config.obstacle_size_m, config.width_m,
+                                  config.height_m, rng);
+  pl.hw = draw_hardware(positions.size(), config.radio, rng);
+  pl.positions = std::move(positions);
 
   // Bounding box of the supplied positions (the spatial grid clamps, so a
   // slightly-tight box only merges edge cells -- never loses a candidate).
-  Vec extent(dim);
-  for (const Vec& p : topo.positions)
-    for (int k = 0; k < dim; ++k) extent[k] = std::max(extent[k], p[k]);
-  for (int k = 0; k < dim; ++k) extent[k] = std::max(extent[k], 1e-9) * 1.0001;
+  pl.extent = Vec(dim);
+  for (const Vec& p : pl.positions)
+    for (int k = 0; k < dim; ++k) pl.extent[k] = std::max(pl.extent[k], p[k]);
+  for (int k = 0; k < dim; ++k) pl.extent[k] = std::max(pl.extent[k], 1e-9) * 1.0001;
 
-  realize_and_assemble(config, topo, hw, extent);
-  return topo;
+  return assemble(config, std::move(pl));
 }
 
 Topology make_grid(int rows, int cols, double spacing_m, double connect_radius_factor) {

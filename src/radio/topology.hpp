@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,17 +37,6 @@ enum class Metric {
   kEnergy,    // transmit energy: ETX * per-attempt energy (power-dependent)
 };
 
-// How the generator enumerates candidate node pairs for link realization.
-// Both modes share the same per-pair realization (counter-based randomness
-// hashed from (seed, i, j)), so they produce bit-identical topologies; the
-// grid only changes which pairs are *visited*, never what a visited pair
-// draws. kAllPairs is kept as the slow oracle for equivalence tests, the
-// same pattern as geom::Triangulation::LocateMode::kLinearScan.
-enum class LinkScanMode {
-  kGrid,      // uniform spatial grid at the radio's max-PRR-cutoff radius
-  kAllPairs,  // original O(n^2) scan over every (i, j) pair
-};
-
 struct TopologyConfig {
   int n = 200;
   double width_m = 100.0;
@@ -64,14 +54,10 @@ struct TopologyConfig {
   // When > 0, tx_power_dbm is auto-tuned so the generated network has about
   // this average physical degree (the paper keeps 14.5 at every N).
   double target_avg_degree = 0.0;
-  // Keep only the largest connected component (routing experiments need a
-  // connected graph); node ids are compacted.
-  bool restrict_to_largest_component = true;
   // ETT model: nominal link rate is drawn per link pair from this range
   // (multi-rate radios), frame_bits from the radio config.
   double min_rate_mbps = 1.0;
   double max_rate_mbps = 11.0;
-  LinkScanMode link_scan = LinkScanMode::kGrid;
 };
 
 struct Topology {
@@ -98,7 +84,19 @@ struct Topology {
 
 const char* metric_name(Metric m);
 
-// Random lossy-radio topology per the config. Deterministic in `seed`.
+// The part of `topo` on the nodes in `keep` (ascending ids; node keep[i]
+// becomes node i): their positions and every link among them, in all four
+// metric graphs. Obstacles and radio parameters carry over.
+Topology induced_topology(const Topology& topo, std::span<const int> keep);
+
+// `topo` restricted to its largest connected component
+// (graph::largest_component of the ETX graph); a connected topology comes
+// back as it is. Routing experiments need a connected graph, so the random
+// generators and make_geo_wan end here.
+Topology keep_largest_component(Topology topo);
+
+// Random lossy-radio topology per the config, restricted to its largest
+// connected component (ids compacted). Deterministic in `seed`.
 Topology make_random_topology(const TopologyConfig& config);
 
 // Realizes the lossy-radio link model over externally supplied positions
@@ -131,7 +129,10 @@ Topology make_grid(int rows, int cols, double spacing_m = 1.0,
 std::vector<int> spatial_shards(const Topology& topo, int shards = 0);
 
 // Binary-searches the transmit power that yields `target_avg_degree` for the
-// given config (averaged over a few seeded instances).
+// given config: 24 steps over [-30, 30] dBm, each reading the average degree
+// 2 * links / n of three placements (seeds seed + 7919 s, s = 0..2) over all
+// their nodes. The placements are drawn once; a step only counts the links
+// the sweep admits at its power.
 double calibrate_tx_power(const TopologyConfig& config, double target_avg_degree);
 
 // Randomly places `count` square obstacles (side `size_m`) fully inside the

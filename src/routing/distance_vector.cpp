@@ -47,27 +47,21 @@ void DistanceVector::schedule_triggered(NodeId u) {
   net_.simulator().schedule_in_node(u, config_.triggered_delay_s, [this, u] {
     if (!dirty_[static_cast<std::size_t>(u)] || !net_.alive(u)) return;
     // Triggered advertisement (does not reset the periodic timer chain; the
-    // duplicate periodic send is the protocol's normal redundancy). With
-    // delta_updates only the entries that changed since the last
-    // advertisement are sent -- O(changed) instead of Theta(N); absence of a
-    // destination never carries meaning for the receiver, so the two message
-    // shapes are interchangeable on the wire.
+    // duplicate periodic send is the protocol's normal redundancy): only the
+    // entries that changed since the last advertisement -- O(changed)
+    // instead of Theta(N). Absence of a destination never carries meaning
+    // for the receiver, so a delta and a full table are interchangeable on
+    // the wire.
     DvMsg m;
     m.origin = u;
     const auto& table = tables_[static_cast<std::size_t>(u)];
     std::set<NodeId>& changed = changed_[static_cast<std::size_t>(u)];
-    if (config_.delta_updates) {
-      for (NodeId dest : changed) {
-        const auto it = table.find(dest);
-        if (it != table.end()) m.vector.emplace_back(dest, it->second.cost);
-      }
-      ++stats_[static_cast<std::size_t>(u)].delta_adverts;
-      stats_[static_cast<std::size_t>(u)].entries_delta += m.vector.size();
-    } else {
-      for (const auto& [dest, entry] : table) m.vector.emplace_back(dest, entry.cost);
-      ++stats_[static_cast<std::size_t>(u)].full_adverts;
-      stats_[static_cast<std::size_t>(u)].entries_full += m.vector.size();
+    for (NodeId dest : changed) {
+      const auto it = table.find(dest);
+      if (it != table.end()) m.vector.emplace_back(dest, it->second.cost);
     }
+    ++stats_[static_cast<std::size_t>(u)].delta_adverts;
+    stats_[static_cast<std::size_t>(u)].entries_delta += m.vector.size();
     changed.clear();
     if (!m.vector.empty())
       net_.for_each_alive_neighbor(u, [&](const graph::Edge& e) { net_.send(u, e.to, m); });

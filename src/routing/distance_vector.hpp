@@ -29,16 +29,14 @@ struct DvMsg {
   std::vector<std::pair<NodeId, double>> vector;
 };
 
+// Triggered updates carry only the entries whose (cost, next hop) changed
+// since the node last advertised, not the full Theta(N) table. The periodic
+// advertisement stays full-table and doubles as anti-entropy, so a neighbor
+// that missed a delta (fresh link, reboot, lost message) converges within one
+// period; dv_test pins convergence to Dijkstra under message loss.
 struct DvConfig {
   double advertise_period_s = 5.0;  // periodic full-table advertisement
   double triggered_delay_s = 0.2;   // coalescing delay for triggered updates
-  // When true (default), triggered updates carry only the entries whose
-  // (cost, next hop) changed since the node last advertised, instead of the
-  // full Theta(N) table. The periodic advertisement stays full-table and
-  // doubles as anti-entropy, so a neighbor that missed a delta (fresh link,
-  // reboot) converges within one period -- the same guarantee as before.
-  // routing_test pins table equivalence between the two modes.
-  bool delta_updates = true;
 };
 
 class DistanceVector {
@@ -66,9 +64,10 @@ class DistanceVector {
   // Diagnostic for *static* topologies (O(N * E log N)).
   bool converged() const;
 
-  // Update-traffic counters, summed over nodes. entries_* measure the
+  // Update-traffic counters, summed over nodes: full_* count the periodic
+  // full tables, delta_* the triggered deltas; entries_* measure the
   // advertised (dest, cost) pairs -- the Theta(N)-vs-O(changed) message-size
-  // trade delta_updates buys.
+  // trade the deltas buy.
   struct DvStats {
     std::uint64_t full_adverts = 0;
     std::uint64_t delta_adverts = 0;

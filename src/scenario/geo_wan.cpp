@@ -145,21 +145,7 @@ radio::Topology make_geo_wan(const GeoWanConfig& config) {
   topo.hops = topo.etx.with_unit_costs();
   topo.ett = ms.build();
   topo.energy = topo.etx;
-
-  if (config.restrict_to_largest_component) {
-    const std::vector<int> keep_ids = graph::largest_component(topo.etx);
-    if (static_cast<int>(keep_ids.size()) != config.n) {
-      std::vector<Vec> pos;
-      pos.reserve(keep_ids.size());
-      for (int u : keep_ids) pos.push_back(topo.positions[static_cast<std::size_t>(u)]);
-      topo.positions = std::move(pos);
-      topo.etx = topo.etx.induced_subgraph(keep_ids);
-      topo.hops = topo.hops.induced_subgraph(keep_ids);
-      topo.ett = topo.ett.induced_subgraph(keep_ids);
-      topo.energy = topo.energy.induced_subgraph(keep_ids);
-    }
-  }
-  return topo;
+  return radio::keep_largest_component(std::move(topo));
 }
 
 }  // namespace gdvr::scenario

@@ -43,13 +43,14 @@ struct GeoWanConfig {
   int k_nearest = 6;
   // Fraction of candidate edges removed at random (snippet 1's T).
   double drop_fraction = 0.15;
-  bool restrict_to_largest_component = true;
 };
 
 // Great-circle distance in kilometers between two (lat, lon) points in
 // degrees (haversine formula, R = 6371 km).
 double haversine_km(double lat1, double lon1, double lat2, double lon2);
 
+// The backbone's largest connected component (ids compacted), like every
+// radio generator's output.
 radio::Topology make_geo_wan(const GeoWanConfig& config);
 
 }  // namespace gdvr::scenario

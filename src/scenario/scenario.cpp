@@ -13,33 +13,6 @@ namespace gdvr::scenario {
 
 namespace {
 
-// Restrict a topology to the given (sorted, compacting) node subset, then to
-// the largest remaining connected component -- the same guarantee generate()
-// gives, applied to an externally chosen alive set.
-radio::Topology induce_connected(const radio::Topology& base, const std::vector<int>& keep) {
-  radio::Topology t;
-  t.radio = base.radio;
-  t.obstacles = base.obstacles;
-  t.positions.reserve(keep.size());
-  for (int u : keep) t.positions.push_back(base.positions[static_cast<std::size_t>(u)]);
-  t.etx = base.etx.induced_subgraph(keep);
-  t.hops = base.hops.induced_subgraph(keep);
-  t.ett = base.ett.induced_subgraph(keep);
-  t.energy = base.energy.induced_subgraph(keep);
-  const std::vector<int> comp = graph::largest_component(t.etx);
-  if (comp.size() != keep.size()) {
-    std::vector<Vec> pos;
-    pos.reserve(comp.size());
-    for (int u : comp) pos.push_back(t.positions[static_cast<std::size_t>(u)]);
-    t.positions = std::move(pos);
-    t.etx = t.etx.induced_subgraph(comp);
-    t.hops = t.hops.induced_subgraph(comp);
-    t.ett = t.ett.induced_subgraph(comp);
-    t.energy = t.energy.induced_subgraph(comp);
-  }
-  return t;
-}
-
 radio::TopologyConfig paper_config(int n, std::uint64_t seed) {
   radio::TopologyConfig tc;
   tc.n = n;
@@ -182,7 +155,10 @@ class FlashCrowdScenario final : public Scenario {
     GDVR_ASSERT(k >= 0 && k < rounds());
     Round r;
     r.time_s = static_cast<double>(k) * config_.period_s;
-    r.topo = induce_connected(base_, alive_by_round_[static_cast<std::size_t>(k)]);
+    // The alive set's largest component: the same guarantee the generator
+    // gives, applied to an externally chosen node subset.
+    r.topo = radio::keep_largest_component(
+        radio::induced_topology(base_, alive_by_round_[static_cast<std::size_t>(k)]));
     return r;
   }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -52,6 +53,15 @@ TEST(ParallelTrials, HandlesEmptyAndSmallCounts) {
   // Fewer trials than threads: spawns only as many workers as trials.
   const auto two = pool.run(2, trial_value);
   EXPECT_EQ(two[1], trial_value(1));
+}
+
+TEST(ParallelTrials, LoneTrialRunsOnCallingThread) {
+  // One trial is one worker's work: the caller runs it rather than spawning
+  // and joining a thread for it.
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto ran_on = ParallelTrials(4).run(1, [](int) { return std::this_thread::get_id(); });
+  ASSERT_EQ(ran_on.size(), 1u);
+  EXPECT_EQ(ran_on[0], caller);
 }
 
 TEST(ParallelTrials, PropagatesExceptions) {

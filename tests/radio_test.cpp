@@ -222,14 +222,32 @@ TEST(Topology, ScalingKeepsDensity) {
   }
 }
 
-// ---------- spatial-grid scan vs all-pairs oracle ----------
+TEST(Topology, CalibrationPinnedBitForBit) {
+  // calibrate_tx_power counts the links of one placement per sample; these
+  // literals are what it returned when it still built every sample topology
+  // in full, so the shortcut must not move a bit.
+  const auto calibrate = [](int n, std::uint64_t seed, int space_dim, int obstacles) {
+    TopologyConfig c;
+    c.n = n;
+    c.seed = seed;
+    c.space_dim = space_dim;
+    c.num_obstacles = obstacles;
+    const double scale = std::sqrt(n / 200.0);
+    c.width_m = 100.0 * scale;
+    c.height_m = 100.0 * scale;
+    return calibrate_tx_power(c, 14.5);
+  };
+  EXPECT_EQ(calibrate(48, 3, 2, 0), -0x1.6a2434p-1);
+  EXPECT_EQ(calibrate(100, 7, 3, 0), 0x1.8cc1128p+2);
+  EXPECT_EQ(calibrate(200, 42, 2, 4), -0x1.c89492p+0);
+}
+
+// ---------- spatial-grid scan vs a geometric oracle ----------
 
 namespace {
 
 // Full structural equality of two metric graphs: same adjacency order, same
-// costs bit for bit. The grid scan must not merely be statistically similar
-// to the O(n^2) oracle -- it realizes the exact same links because per-pair
-// randomness is keyed on (seed, i, j), not on enumeration order.
+// costs bit for bit.
 void expect_same_graph(const graph::Graph& a, const graph::Graph& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (int u = 0; u < a.size(); ++u) {
@@ -243,19 +261,61 @@ void expect_same_graph(const graph::Graph& a, const graph::Graph& b, const char*
   }
 }
 
-void expect_scan_modes_agree(TopologyConfig c) {
-  c.link_scan = LinkScanMode::kGrid;
-  const Topology grid = make_random_topology(c);
-  c.link_scan = LinkScanMode::kAllPairs;
-  const Topology oracle = make_random_topology(c);
-  ASSERT_EQ(grid.size(), oracle.size());
-  for (int i = 0; i < grid.size(); ++i)
-    EXPECT_EQ(grid.positions[static_cast<std::size_t>(i)],
-              oracle.positions[static_cast<std::size_t>(i)]);
-  expect_same_graph(grid.etx, oracle.etx, "etx");
-  expect_same_graph(grid.hops, oracle.hops, "hops");
-  expect_same_graph(grid.ett, oracle.ett, "ett");
-  expect_same_graph(grid.energy, oracle.energy, "energy");
+// With shadowing and hardware variance off, a link is pure geometry: a pair
+// is linked iff it is closer than the radius R at which prr() falls to the
+// admission threshold and no obstacle blocks its line of sight. The oracle
+// shares no code with the generator: it bisects the link model's prr() for R
+// and checks every ordered pair of the returned topology (its largest
+// component keeps every link among its nodes). Pairs within 1e-9 R of R are
+// skipped, where the generator's linear-domain compare and prr()'s dB chain
+// may round apart. The grid's cell size and range follow R, so each target
+// degree sweeps a different grid shape.
+void expect_links_match_geometry(TopologyConfig c) {
+  c.radio.shadow_sigma_db = 0.0;
+  c.radio.tx_power_var_db = 0.0;
+  c.radio.noise_var_db = 0.0;
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull})
+    for (const double degree : {6.0, 14.5, 30.0}) {
+      c.seed = seed;
+      c.target_avg_degree = degree;
+      const Topology t = make_random_topology(c);
+      const auto linked = [&](double d) {
+        return prr(t.radio, d, 0.0, 0.0, 0.0) > c.prr_threshold;
+      };
+      double lo = t.radio.ref_distance_m, hi = 2.0 * lo;
+      ASSERT_TRUE(linked(lo));
+      while (linked(hi)) hi *= 2.0;
+      for (int i = 0; i < 200; ++i) {
+        const double mid = 0.5 * (lo + hi);
+        (linked(mid) ? lo : hi) = mid;
+      }
+      const double radius = hi;
+
+      int mismatches = 0, checked = 0;
+      for (int u = 0; u < t.size(); ++u) {
+        const auto run = t.etx.neighbors(u);
+        for (std::size_t k = 1; k < run.size(); ++k)
+          EXPECT_LT(run[k - 1].to, run[k].to) << "node " << u << " run not ascending";
+        for (const graph::Graph* g : {&t.hops, &t.ett, &t.energy}) {
+          ASSERT_EQ(g->degree(u), t.etx.degree(u));
+          for (std::size_t k = 0; k < run.size(); ++k)
+            EXPECT_EQ(g->neighbors(u)[k].to, run[k].to) << "node " << u;
+        }
+        const Vec& a = t.positions[static_cast<std::size_t>(u)];
+        for (int v = 0; v < t.size(); ++v) {
+          const Vec& b = t.positions[static_cast<std::size_t>(v)];
+          const double d = a.distance(b);
+          if (u == v || std::fabs(d - radius) < 1e-9 * radius) continue;
+          const bool blocked = std::any_of(t.obstacles.begin(), t.obstacles.end(),
+                                           [&](const Obstacle& o) { return o.blocks(a, b); });
+          ++checked;
+          if (t.etx.has_edge(u, v) != (d < radius && !blocked)) ++mismatches;
+        }
+      }
+      EXPECT_GT(checked, 0);
+      EXPECT_EQ(mismatches, 0) << "seed " << seed << ", degree " << degree << ": " << mismatches
+                               << " of " << checked << " pairs disagree with R = " << radius;
+    }
 }
 
 }  // namespace
@@ -263,26 +323,21 @@ void expect_scan_modes_agree(TopologyConfig c) {
 TEST(Topology, GridScanMatchesAllPairsAcrossSeeds) {
   TopologyConfig c;
   c.n = 200;
-  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    c.seed = seed;
-    expect_scan_modes_agree(c);
-  }
+  expect_links_match_geometry(c);
 }
 
 TEST(Topology, GridScanMatchesAllPairsIn3d) {
   TopologyConfig c;
-  c.n = 150;
-  c.seed = 7;
+  c.n = 200;
   c.space_dim = 3;
-  expect_scan_modes_agree(c);
+  expect_links_match_geometry(c);
 }
 
 TEST(Topology, GridScanMatchesAllPairsWithObstacles) {
   TopologyConfig c;
   c.n = 200;
-  c.seed = 42;
   c.num_obstacles = 4;
-  expect_scan_modes_agree(c);
+  expect_links_match_geometry(c);
 }
 
 TEST(Topology, GridScanThreadCountInvariant) {
@@ -291,7 +346,6 @@ TEST(Topology, GridScanThreadCountInvariant) {
   TopologyConfig c;
   c.n = 200;
   c.seed = 17;
-  c.link_scan = LinkScanMode::kGrid;
 
   const char* saved = std::getenv("GDVR_THREADS");
   const std::string saved_copy = saved ? saved : "";
