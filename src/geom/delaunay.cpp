@@ -369,7 +369,7 @@ bool Triangulation::build(std::span<const Vec> points) {
   // Insert the remaining points in index order.
   for (int p = 0; p < n; ++p) {
     if (std::find(chosen_.begin(), chosen_.end(), p) != chosen_.end()) continue;
-    if (!insert(p, locate_conflict(pts_[static_cast<std::size_t>(p)]))) return false;
+    if (!insert(p, locate_conflict(pts_[static_cast<std::size_t>(p)]), kNoCenter)) return false;
   }
   return true;
 }
@@ -425,12 +425,11 @@ bool Triangulation::star_neighbors(std::span<const Vec> points, int center, std:
         break;
       }
     if (seed < 0) continue;  // outside the star: inserting p would not change it
-    if (!insert(p, seed)) return false;
-    // The insert killed exactly the conflicting star cells; the center's new
-    // cells are the created ones on its side of the cavity boundary.
+    if (!insert(p, seed, center)) return false;
+    // The insert killed exactly the conflicting star cells and created only
+    // cells through the center.
     std::erase_if(star_, [this](int ci) { return !cells_[static_cast<std::size_t>(ci)].alive; });
-    for (int ci : created_)
-      if (has_vertex(cells_[static_cast<std::size_t>(ci)], center)) star_.push_back(ci);
+    star_.insert(star_.end(), created_.begin(), created_.end());
     double reach = 0.0;
     for (int ci : star_) {
       const Cell& sc = cells_[static_cast<std::size_t>(ci)];
@@ -456,12 +455,14 @@ bool Triangulation::star_neighbors(std::span<const Vec> points, int center, std:
   return true;
 }
 
-bool Triangulation::insert(int p, int seed) {
+bool Triangulation::insert(int p, int seed, int center) {
   const Vec& q = pts_[static_cast<std::size_t>(p)];
 
   // Conflict region: the seed cell, then a BFS flood over cell adjacency --
   // the conflict region of a point is connected, so the flood collects all
-  // of it. Marks, queue and created list are scratch reused across inserts.
+  // of it (with a center: the star part of it, which is connected through
+  // facets containing the center, DESIGN.md §4h). Marks, queue and created
+  // list are scratch reused across inserts.
   if (seed < 0) return false;
   if (mark_.size() < cells_.size()) mark_.resize(cells_.size(), 0);
   ++mark_epoch_;
@@ -472,7 +473,9 @@ bool Triangulation::insert(int p, int seed) {
     const Cell& c = cells_[static_cast<std::size_t>(conflict_[i])];
     for (int k = 0; k <= dim_; ++k) {
       const int nb = c.nbr[static_cast<std::size_t>(k)];
-      if (nb < 0 || mark_[static_cast<std::size_t>(nb)] == mark_epoch_) continue;
+      if (c.v[static_cast<std::size_t>(k)] == center || nb < 0 ||
+          mark_[static_cast<std::size_t>(nb)] == mark_epoch_)
+        continue;
       if (in_conflict(cells_[static_cast<std::size_t>(nb)], q)) {
         mark_[static_cast<std::size_t>(nb)] = mark_epoch_;
         conflict_.push_back(nb);
@@ -480,9 +483,12 @@ bool Triangulation::insert(int p, int seed) {
     }
   }
   if (locate_mode_ == LocateMode::kLinearScan) {
-    // Reference kernel: the scan marks every conflicting cell, flood or not.
+    // Reference kernel: the scan marks every conflicting cell, flood or not
+    // (with a center, every conflicting star cell: the cells off the star
+    // are not maintained).
     for (std::size_t ci = 0; ci < cells_.size(); ++ci) {
       if (!cells_[ci].alive || mark_[ci] == mark_epoch_) continue;
+      if (center != kNoCenter && !has_vertex(cells_[ci], center)) continue;
       if (in_conflict(cells_[ci], q)) {
         mark_[ci] = mark_epoch_;
         conflict_.push_back(static_cast<int>(ci));
@@ -490,16 +496,19 @@ bool Triangulation::insert(int p, int seed) {
     }
   }
 
-  // Build one new cell per boundary facet of the conflict region. New cells
-  // reuse tombstoned slots where possible; the dying cells' slots are only
-  // recycled after this insert completes, so their vertex/neighbor arrays
-  // stay readable throughout.
+  // Build one new cell per boundary facet of the conflict region (with a
+  // center, per boundary facet through it). New cells reuse tombstoned slots
+  // where possible; the dying cells' slots are only recycled after this
+  // insert completes, so their vertex/neighbor arrays stay readable
+  // throughout.
   created_.clear();
   for (std::size_t i = 0; i < conflict_.size(); ++i) {
     const int ci = conflict_[i];
     for (int k = 0; k <= dim_; ++k) {
       const int nb = cells_[static_cast<std::size_t>(ci)].nbr[static_cast<std::size_t>(k)];
-      if (nb < 0 || mark_[static_cast<std::size_t>(nb)] == mark_epoch_) continue;
+      if (cells_[static_cast<std::size_t>(ci)].v[static_cast<std::size_t>(k)] == center ||
+          nb < 0 || mark_[static_cast<std::size_t>(nb)] == mark_epoch_)
+        continue;
       // Boundary facet: vertices of the dying cell except v[k]; the facet
       // survives and gets joined to p. p sits at index dim_, opposite it.
       const int fresh_id = alloc_cell();
@@ -528,10 +537,13 @@ bool Triangulation::insert(int p, int seed) {
   }
   if (created_.empty()) return false;
 
-  // Wire new-cell-to-new-cell adjacency across ridges (facets containing p).
+  // Wire new-cell-to-new-cell adjacency across ridges (facets containing p;
+  // with a center, those containing it too: a new cell's facet opposite the
+  // center borders a new cell off the star, which is not built).
   facets_.reset(dim_, created_.size() * static_cast<std::size_t>(dim_));
   for (int ci : created_) {
     for (int k = 0; k < dim_; ++k) {  // facets opposite each non-p vertex
+      if (cells_[static_cast<std::size_t>(ci)].v[static_cast<std::size_t>(k)] == center) continue;
       const FacetKey key = facet_key(cells_[static_cast<std::size_t>(ci)], k, dim_);
       int cj = -1, kj = -1;
       if (facets_.match_or_insert(key, ci, k, &cj, &kj)) {

@@ -97,6 +97,9 @@ class Triangulation {
   std::uint64_t walk_fallbacks() const { return walk_fallbacks_; }
 
   int dim() const { return dim_; }
+  // After build(), the whole complex. After star_neighbors(), only the
+  // center's star plus the first simplex's infinite cell opposite the center;
+  // nothing else is triangulated.
   const std::vector<Cell>& cells() const { return cells_; }
 
   // Collect the finite-finite edge set (u < v, deduplicated).
@@ -109,11 +112,13 @@ class Triangulation {
   // simplex through center, a point is inserted only if it conflicts with a
   // cell of center's current star, and the visit stops at the first point
   // beyond every star cell's circumsphere once the star is closed (has no
-  // infinite cell). Exact, not an approximation: a point outside every star
-  // cell never changes the star when inserted, and the region where a new
-  // point would join the star only shrinks as points are added, so every
-  // skipped point stays irrelevant. Returns false when the input is
-  // degenerate or an insertion failed (caller should retry or fall back).
+  // infinite cell). Each insertion floods, replaces and relinks only star
+  // cells; the rest of the conflict cavity is never built. Exact, not an
+  // approximation: a point outside every star cell never changes the star
+  // when inserted, and the region where a new point would join the star
+  // only shrinks as points are added, so every skipped point stays
+  // irrelevant. Returns false when the input is degenerate or an insertion
+  // failed (caller should retry or fall back).
   bool star_neighbors(std::span<const Vec> points, int center, std::vector<int>& out);
 
   // Validation helper for tests, after build(): true iff no jittered input
@@ -161,7 +166,11 @@ class Triangulation {
   // one infinite cell per facet, over the coordinates already in pts_.
   bool init_complex();
   // Bowyer-Watson insertion of vertex p, given one cell in conflict with it.
-  bool insert(int p, int seed);
+  // With a center (a vertex id), the flood, the new cells and their links
+  // cover only cells through it: the cavity's star part, which needs a seed
+  // in the center's star. build() passes kNoCenter, matching no vertex.
+  static constexpr int kNoCenter = -2;
+  bool insert(int p, int seed, int center);
   bool in_conflict(const Cell& c, const Vec& p) const;
   bool cache_circumsphere(Cell& c);
   int infinite_index(const Cell& c) const;

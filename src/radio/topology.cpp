@@ -269,7 +269,9 @@ struct LinkRealizer {
   std::vector<double> px, py, pz;  // pz empty in 2D
   std::uint64_t seed_hash = 0;     // PairRng::seed_hash(config.seed)
 
-  void init(const TopologyConfig& cfg, const Placement& pl) {
+  // `snr_thr` is snr_threshold_db(cfg.radio, cfg.prr_threshold), which reads
+  // no power field: calibration computes it once for all of its steps.
+  void init(const TopologyConfig& cfg, const Placement& pl, double snr_thr) {
     config = &cfg;
     placement = &pl;
     const std::vector<Vec>& pos = pl.positions;
@@ -279,7 +281,6 @@ struct LinkRealizer {
     d_max2 = d_max * d_max;
     ref2 = p.ref_distance_m * p.ref_distance_m;
     pl_coeff = 5.0 * p.path_loss_exp;
-    const double snr_thr = snr_threshold_db(p, cfg.prr_threshold);
     s_base = p.tx_power_dbm - p.noise_floor_dbm - p.pl_d0_db - snr_thr;
     frame_bits = 8.0 * static_cast<double>(p.frame_bytes + p.preamble_bytes) *
                  (p.manchester ? 2.0 : 1.0);
@@ -493,18 +494,31 @@ Placement place_random(const TopologyConfig& config) {
   return pl;
 }
 
+constexpr int kRowsPerChunk = 64;
+
+int sweep_chunks(std::size_t n) {
+  return static_cast<int>((n + kRowsPerChunk - 1) / kRowsPerChunk);
+}
+
+// Workers for sweeps over up to n nodes, at most one per chunk: a one-chunk
+// sweep starts no thread. Calibration keeps one pool for all of its sweeps.
+WorkerPool sweep_pool(std::size_t n) {
+  return WorkerPool(std::clamp(sweep_chunks(n), 1, resolve_thread_count(0)));
+}
+
 // The grid sweep: every pair the realizer admits, in (i, j) order, as one
 // list per row chunk (gluing them would just copy megabytes, so callers
 // iterate the chunks in place). Chunk boundaries are fixed, not
-// thread-count dependent, and results come back in chunk order, so the list
+// thread-count dependent, and each chunk fills its own slot, so the list
 // is identical no matter how many workers ran the sweep.
-std::vector<std::vector<PairDraw>> sweep(const LinkRealizer& realizer, const Placement& pl) {
+std::vector<std::vector<PairDraw>> sweep(const LinkRealizer& realizer, const Placement& pl,
+                                         WorkerPool& pool) {
   const int n = static_cast<int>(pl.positions.size());
   const SpatialGrid grid(pl.positions, pl.extent, realizer.d_max);
-  constexpr int kRowsPerChunk = 64;
-  const int chunks = (n + kRowsPerChunk - 1) / kRowsPerChunk;
-  return ParallelTrials().run(chunks, [&](int c) {
-    std::vector<PairDraw> out;
+  const int chunks = sweep_chunks(pl.positions.size());
+  std::vector<std::vector<PairDraw>> rows(static_cast<std::size_t>(chunks));
+  const auto scan = [&](int c) {
+    std::vector<PairDraw>& out = rows[static_cast<std::size_t>(c)];
     PairDraw rec;
     const int lo = c * kRowsPerChunk;
     const int hi = std::min(n, lo + kRowsPerChunk);
@@ -546,8 +560,9 @@ std::vector<std::vector<PairDraw>> sweep(const LinkRealizer& realizer, const Pla
       std::sort(out.begin() + static_cast<std::ptrdiff_t>(row_start), out.end(),
                 [](const PairDraw& a, const PairDraw& b) { return a.j < b.j; });
     }
-    return out;
-  });
+  };
+  pool.parallel_for(chunks, scan);
+  return rows;
 }
 
 // Link realization and graph assembly over a placement; shared by
@@ -557,8 +572,9 @@ std::vector<std::vector<PairDraw>> sweep(const LinkRealizer& realizer, const Pla
 // as in the original link-layer simulator.
 Topology assemble(const TopologyConfig& config, Placement pl) {
   LinkRealizer realizer;
-  realizer.init(config, pl);
-  const std::vector<std::vector<PairDraw>> chunk_links = sweep(realizer, pl);
+  realizer.init(config, pl, snr_threshold_db(config.radio, config.prr_threshold));
+  WorkerPool pool = sweep_pool(pl.positions.size());
+  const std::vector<std::vector<PairDraw>> chunk_links = sweep(realizer, pl, pool);
 
   // Counting-sort the directed edges into per-node runs: the CSR arrays the
   // graphs take over. The per-node edge order is exactly the order a
@@ -715,6 +731,8 @@ double calibrate_tx_power(const TopologyConfig& config, double target_avg_degree
     c.seed = sample_seed(s);
     samples.push_back(place_random(c));
   }
+  const double snr_thr = snr_threshold_db(config.radio, config.prr_threshold);
+  WorkerPool pool = sweep_pool(samples[0].positions.size());  // each places config.n
   double lo = -30.0, hi = 30.0;
   for (int iter = 0; iter < 24; ++iter) {
     const double mid = 0.5 * (lo + hi);
@@ -724,9 +742,9 @@ double calibrate_tx_power(const TopologyConfig& config, double target_avg_degree
       c.seed = sample_seed(s);
       const Placement& pl = samples[static_cast<std::size_t>(s)];
       LinkRealizer realizer;
-      realizer.init(c, pl);
+      realizer.init(c, pl, snr_thr);
       std::size_t links = 0;
-      for (const auto& chunk : sweep(realizer, pl)) links += chunk.size();
+      for (const auto& chunk : sweep(realizer, pl, pool)) links += chunk.size();
       // Average degree over every placed node: 2 * links / n.
       if (!pl.positions.empty())
         degree += static_cast<double>(2 * links) / static_cast<double>(pl.positions.size());

@@ -484,31 +484,63 @@ void expect_stars_match_graph(std::span<const Vec> pts, const std::string& where
 }
 
 TEST(LocalDelaunayStar, MatchesGraphRandom) {
-  for (int dim = 2; dim <= 4; ++dim)
-    for (int n : {dim + 2, 12, 40})
+  // Every dimension gdv_sim accepts (--dim 2..Vec::kMaxDim); the larger
+  // sizes only up to 4-D, where the whole-set oracle stays cheap.
+  for (int dim = 2; dim <= Vec::kMaxDim; ++dim) {
+    const std::vector<int> sizes =
+        dim <= 4 ? std::vector<int>{dim + 2, 12, 40} : std::vector<int>{dim + 2, 14};
+    for (int n : sizes)
       for (std::uint64_t seed : {1u, 2u, 3u}) {
         const auto pts =
             random_points(n, dim, 12000u + seed * 97 + static_cast<std::uint64_t>(dim * n));
         expect_stars_match_graph(pts, "random dim=" + std::to_string(dim) + " n=" +
                                           std::to_string(n) + " seed=" + std::to_string(seed));
       }
+  }
+}
+
+// Box corners and a far outlier around 30 random points: centers whose
+// stars stay open (infinite cells) until the last point, and interior
+// points whose stars close early.
+std::vector<Vec> hull_center_points(int dim) {
+  auto pts = random_points(30, dim, 12500u + static_cast<std::uint64_t>(dim));
+  for (int corner = 0; corner < (1 << dim); ++corner) {
+    Vec p(dim);
+    for (int c = 0; c < dim; ++c) p[c] = (corner >> c) & 1 ? 1.0 : 0.0;
+    pts.push_back(p);
+  }
+  Vec far(dim);
+  for (int c = 0; c < dim; ++c) far[c] = 5.0 + c;
+  pts.push_back(far);
+  return jittered(pts, 1e-7, 12600u + static_cast<std::uint64_t>(dim));
 }
 
 TEST(LocalDelaunayStar, MatchesGraphHullCenters) {
-  // Box corners and far outliers: centers whose stars stay open (infinite
-  // cells) until the last point, and interior points whose stars close early.
+  for (int dim = 2; dim <= 4; ++dim)
+    expect_stars_match_graph(hull_center_points(dim), "hull dim=" + std::to_string(dim));
+}
+
+TEST(LocalDelaunayStar, KeepsOnlyTheStar) {
+  // The star path builds nothing off the center's star: after a call, every
+  // alive cell contains the center except, at most, the first simplex's
+  // infinite cell opposite it.
   for (int dim = 2; dim <= 4; ++dim) {
-    auto pts = random_points(30, dim, 12500u + static_cast<std::uint64_t>(dim));
-    for (int corner = 0; corner < (1 << dim); ++corner) {
-      Vec p(dim);
-      for (int c = 0; c < dim; ++c) p[c] = (corner >> c) & 1 ? 1.0 : 0.0;
-      pts.push_back(p);
+    const std::vector<std::pair<std::string, std::vector<Vec>>> sets = {
+        {"random", random_points(40, dim, 13200u + static_cast<std::uint64_t>(dim))},
+        {"hull", hull_center_points(dim)}};
+    for (const auto& [name, pts] : sets) {
+      Triangulation tri;
+      std::vector<int> nbrs;
+      for (int c = 0; c < static_cast<int>(pts.size()); ++c) {
+        ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs));
+        int off_star = 0;
+        for (const Triangulation::Cell& cell : tri.cells()) {
+          const auto end = cell.v.begin() + dim + 1;
+          if (cell.alive && std::find(cell.v.begin(), end, c) == end) ++off_star;
+        }
+        EXPECT_LE(off_star, 1) << name << " dim=" << dim << " center=" << c;
+      }
     }
-    Vec far(dim);
-    for (int c = 0; c < dim; ++c) far[c] = 5.0 + c;
-    pts.push_back(far);
-    expect_stars_match_graph(jittered(pts, 1e-7, 12600u + static_cast<std::uint64_t>(dim)),
-                             "hull dim=" + std::to_string(dim));
   }
 }
 
