@@ -31,8 +31,12 @@
 #                                    # full suite). Each row is scored by its
 #                                    # median real_time over the rounds; exits
 #                                    # nonzero if any row's this-tree/REV ratio
-#                                    # exceeds 1 + GDVR_BENCH_TOLERANCE. Rows
-#                                    # present on one side only are listed.
+#                                    # exceeds 1 + GDVR_BENCH_TOLERANCE. Each
+#                                    # flagged row also prints both sides'
+#                                    # min-max over the rounds, so host drift
+#                                    # (overlapping ranges, one wild round) can
+#                                    # be told from a shift of the whole range.
+#                                    # Rows present on one side only are listed.
 #                                    # `--compare-rev HEAD` measures the working
 #                                    # tree against its last commit; no JSON
 #                                    # rewrite.
@@ -124,29 +128,38 @@ import glob, json, os, statistics, sys
 runs, rev, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
 def load(side):
-    # Median real_time per row over the rounds: wall time, because cpu_time
-    # counts only the main thread of benchmarks that fan out to workers.
+    # Every round's real_time per row: wall time, because cpu_time counts
+    # only the main thread of benchmarks that fan out to workers.
     times, units = {}, {}
     for path in sorted(glob.glob(os.path.join(runs, side + "-*.json"))):
         for b in json.load(open(path))["benchmarks"]:
             if b.get("run_type", "iteration") == "iteration":
                 times.setdefault(b["name"], []).append(b["real_time"])
                 units[b["name"]] = b.get("time_unit", "ns")
-    return {name: (statistics.median(ts), units[name]) for name, ts in times.items()}
+    return times, units
 
-base, change = load("base"), load("change")
+(base, units), (change, _) = load("base"), load("change")
+
+def spread(ts):
+    return f"{min(ts):.4g}-{max(ts):.4g}"
+
 regressed = []
 print(f"\n{'benchmark':<42} {rev[:12]:>14} {'this tree':>14} {'ratio':>7}")
 for name in change:
     if name not in base:
         continue
-    (b, unit), (c, _) = base[name], change[name]
+    # Each row is scored by its median over the rounds.
+    b, c, unit = statistics.median(base[name]), statistics.median(change[name]), units[name]
     ratio = c / b if b > 0 else float("inf")
     flag = ""
     if ratio > 1.0 + tol:
         flag = "  << REGRESSION"
-        regressed.append((name, ratio))
+        regressed.append((name, ratio, f"{rev[:12]} {spread(base[name])} {unit}, "
+                                       f"this tree {spread(change[name])} {unit}"))
     print(f"{name:<42} {b:>11.4g} {unit:<2} {c:>11.4g} {unit:<2} {ratio:>7.2f}{flag}")
+    if flag:
+        print(f"{'':<4}min-max over {len(base[name])} / {len(change[name])} rounds: "
+              f"{regressed[-1][2]}")
 for name in sorted(set(base) - set(change)):
     print(f"{name:<42}   (only in {rev})")
 for name in sorted(set(change) - set(base)):
@@ -155,8 +168,8 @@ for name in sorted(set(change) - set(base)):
 if regressed:
     print(f"\n{len(regressed)} benchmark(s) slower than {rev} by more than {tol:.0%}:",
           file=sys.stderr)
-    for name, ratio in regressed:
-        print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
+    for name, ratio, ranges in regressed:
+        print(f"  {name}: {ratio:.2f}x (min-max: {ranges})", file=sys.stderr)
     sys.exit(1)
 print(f"\nno real_time regressions beyond {tol:.0%} against {rev}")
 EOF

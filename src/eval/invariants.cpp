@@ -37,8 +37,10 @@ double dt_neighbor_accuracy(const mdt::MdtOverlay& overlay, const mdt::Net& net)
   return expected == 0 ? 1.0 : static_cast<double>(matched) / static_cast<double>(expected);
 }
 
-// Every stored multi-hop virtual-link path must cross only alive nodes and
-// usable links; a physical DT neighbor has no stored path and is skipped.
+// Every stored virtual-link path of a DT neighbor must cross only alive
+// nodes and usable links. A physical DT neighbor holds one too ({u, y}, or
+// the route of its last neighbor-set exchange) and is counted; an N_u member
+// whose C_u record holds no path (no record, or none synced yet) is skipped.
 std::pair<int, int> virtual_link_liveness(const mdt::MdtOverlay& overlay, const mdt::Net& net) {
   int total = 0;
   int live = 0;
@@ -46,7 +48,7 @@ std::pair<int, int> virtual_link_liveness(const mdt::MdtOverlay& overlay, const 
     if (!net.alive(u) || !overlay.active(u)) continue;
     for (int y : overlay.dt_neighbors(u)) {
       const std::vector<int>& path = overlay.virtual_path(u, y);
-      if (path.size() < 2) continue;  // physical neighbor or unknown
+      if (path.size() < 2) continue;  // no stored path
       ++total;
       bool ok = true;
       for (std::size_t i = 0; i < path.size() && ok; ++i) {

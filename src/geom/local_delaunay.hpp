@@ -42,7 +42,8 @@ struct DynamicDtStats {
 
 class LocalDelaunay {
  public:
-  using Key = std::int64_t;
+  // As wide as the overlay's NodeId, so neighbors() is the overlay's N_u.
+  using Key = int;
 
   LocalDelaunay() = default;
   explicit LocalDelaunay(const DelaunayOptions& opts) : opts_(opts) {}

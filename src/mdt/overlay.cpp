@@ -11,6 +11,23 @@ namespace gdvr::mdt {
 
 namespace {
 
+// Protocol timers and budgets.
+constexpr double kSyncTimeoutS = 1.5;     // Neighbor-Set Request retry timeout
+constexpr int kMaxSyncRetries = 4;        // attempts per maintenance round
+// Non-neighbor candidates survive one recompute cycle: freshly learned nodes
+// must be considered once, but keeping them longer balloons the local-DT
+// input during early construction.
+constexpr double kCandidateFreshS = 2.0;
+constexpr double kRelayTtlS = 60.0;       // soft-state expiry for relay entries
+constexpr double kRecomputeDelayS = 0.7;  // coalescing delay for local DT recomputes
+// When a maintenance round observes that N_u changed since the previous
+// round (churn, partition healing, large position shifts), one follow-up
+// neighbor-set sync fires after this delay, still inside the same J period.
+// Self-limiting: a stable DT never pays for it, while post-fault repair runs
+// at twice the per-period rate.
+constexpr double kResyncAfterChangeS = 2.5;
+constexpr int kGreedyTtl = 96;            // hop budget for greedy-forwarded requests
+
 std::pair<NodeId, NodeId> norm_pair(NodeId a, NodeId b) {
   return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
 }
@@ -111,7 +128,7 @@ void MdtOverlay::start_join(NodeId u) {
     m.target_pos = s.pos;
     m.origin_info = info_of(u);
     m.visited = {u};
-    m.ttl = config_.greedy_ttl;
+    m.ttl = kGreedyTtl;
     send_ctrl(u, seed, std::move(m));
   }
   // Retry until joined (replies may be lost to dead ends during construction).
@@ -169,16 +186,7 @@ void MdtOverlay::set_position(NodeId u, const Vec& pos, double err) {
   if (!net_.alive(u)) return;
   // Push the new position to physical neighbors (direct) and multi-hop DT
   // neighbors (source-routed along the stored virtual-link path).
-  for (const auto& [id, info] : s.phys) {
-    (void)info;
-    Envelope m;
-    m.kind = Kind::kPosUpdate;
-    m.origin = u;
-    m.target = id;
-    m.origin_info = info_of(u);
-    net_.send(u, id, std::move(m));
-  }
-  send_over_virtual_links(u, Kind::kPosUpdate);
+  send_to_neighbors(u, Kind::kPosUpdate, /*include_phys=*/true);
 }
 
 void MdtOverlay::run_maintenance_round(NodeId u) {
@@ -188,7 +196,7 @@ void MdtOverlay::run_maintenance_round(NodeId u) {
   send_hello(u);
   // Expire relay soft state.
   const sim::Time now = net_.simulator().now();
-  erase_if(s.relay, [&](const auto& e) { return now - e.second.refreshed > config_.relay_ttl_s; });
+  erase_if(s.relay, [&](const auto& e) { return now - e.second.refreshed > kRelayTtlS; });
   // Soft-state staleness: a non-physical candidate that has sent us nothing
   // (position update, request, reply) for neighbor_stale_s is presumed dead.
   // With the adaptive failure detector on, entries with a fitted detector are
@@ -215,12 +223,12 @@ void MdtOverlay::run_maintenance_round(NodeId u) {
   // still in flux (churn, healed partition, position shifts), and one sync
   // per J period chases it too slowly. Schedule a single follow-up sync
   // within this round; a stable neighborhood never takes this path.
-  const bool changed = s.dt_nbrs != s.prev_round_dt;
-  s.prev_round_dt = s.dt_nbrs;
-  if (changed && config_.resync_after_change_s > 0.0 && !s.resync_scheduled) {
+  const bool changed = s.dt_nbrs() != s.prev_round_dt;
+  s.prev_round_dt = s.dt_nbrs();
+  if (changed && !s.resync_scheduled) {
     s.resync_scheduled = true;
     const std::uint32_t inc = net_.incarnation(u);
-    net_.simulator().schedule_in_node(u, config_.resync_after_change_s, [this, u, inc] {
+    net_.simulator().schedule_in_node(u, kResyncAfterChangeS, [this, u, inc] {
       // The state this timer belongs to is gone if u died (and possibly
       // rejoined as a new incarnation) in the meantime.
       if (!net_.alive(u) || net_.incarnation(u) != inc) return;
@@ -238,7 +246,7 @@ void MdtOverlay::force_resync(NodeId u) {
     start_join(u);
     return;
   }
-  for (NodeId y : s.dt_nbrs) {
+  for (NodeId y : s.dt_nbrs()) {
     auto it = s.cand.find(y);
     if (it != s.cand.end()) it->second.synced = false;
   }
@@ -278,7 +286,7 @@ void MdtOverlay::fd_tick(NodeId u) {
   // Only multi-hop DT neighbors need explicit probes: physical neighbors are
   // covered by link-layer liveness (refresh_phys), and everything else is
   // transient soft state with its own freshness rules.
-  fd_at(u).heartbeats_sent += send_over_virtual_links(u, Kind::kHeartbeat);
+  fd_at(u).heartbeats_sent += send_to_neighbors(u, Kind::kHeartbeat, /*include_phys=*/false);
   const sim::Time now = net_.simulator().now();
   // Evict every multi-hop neighbor whose detector has crossed the threshold.
   std::vector<NodeId> dead;
@@ -522,39 +530,27 @@ void MdtOverlay::on_heartbeat(NodeId u, const Envelope& msg) {
 // --------------------------------------------------------------------------
 // Forwarding
 
-std::optional<NodeId> MdtOverlay::greedy_next(NodeId u, const Vec& pos,
-                                              const std::vector<NodeId>& visited,
-                                              bool joined_only) const {
-  const NodeState& s = st(u);
-  const double own = s.pos.distance(pos);
+std::optional<NeighborView> MdtOverlay::greedy_next(NodeId u, const Vec& pos,
+                                                    const std::vector<NodeId>& visited,
+                                                    bool joined_only) const {
   // MDT-greedy: prefer the closest physical neighbor if it makes progress;
   // otherwise the closest multi-hop DT neighbor that makes progress.
-  NodeId best_phys = -1;
-  double best_phys_d = own;
-  for (const auto& [id, info] : s.phys) {
-    if (contains(visited, id) || !net_.alive(id) || !net_.link_up(u, id)) continue;
-    if (joined_only && !info.joined) continue;
-    const double d = info.pos.distance(pos);
-    if (d < best_phys_d) {
-      best_phys_d = d;
-      best_phys = id;
+  const double own = st(u).pos.distance(pos);
+  std::optional<NeighborView> phys, multihop;
+  double phys_d = own, multihop_d = own;
+  for_each_neighbor(u, [&](const NeighborView& v) {
+    // P_u comes first, so a physical choice is final once N_u \ P_u starts.
+    if ((!v.is_phys && phys) || contains(visited, v.id)) return;
+    if (v.is_phys && (!net_.alive(v.id) || !net_.link_up(u, v.id) || (joined_only && !v.joined)))
+      return;
+    const double d = v.pos.distance(pos);
+    double& best_d = v.is_phys ? phys_d : multihop_d;
+    if (d < best_d) {
+      best_d = d;
+      (v.is_phys ? phys : multihop).emplace(v);
     }
-  }
-  if (best_phys >= 0) return best_phys;
-  NodeId best_dt = -1;
-  double best_dt_d = own;
-  for (NodeId y : s.dt_nbrs) {
-    if (s.phys.count(y) || contains(visited, y)) continue;
-    auto it = s.cand.find(y);
-    if (it == s.cand.end() || it->second.path.size() < 2) continue;
-    const double d = it->second.pos.distance(pos);
-    if (d < best_dt_d) {
-      best_dt_d = d;
-      best_dt = y;
-    }
-  }
-  if (best_dt >= 0) return best_dt;
-  return std::nullopt;
+  });
+  return phys ? phys : multihop;
 }
 
 bool MdtOverlay::forward_request(NodeId u, Envelope msg) {
@@ -581,12 +577,10 @@ bool MdtOverlay::forward_request(NodeId u, Envelope msg) {
       greedy_next(u, msg.target_pos, msg.visited, msg.kind == Kind::kJoinRequest);
   if (!next) return false;
   msg.visited.push_back(u);
-  if (s.phys.count(*next)) return send_ctrl(u, *next, std::move(msg));
+  if (next->is_phys) return send_ctrl(u, next->id, std::move(msg));
   // Multi-hop DT neighbor: detour along the stored virtual-link path.
-  const auto it = s.cand.find(*next);
-  GDVR_ASSERT(it != s.cand.end() && it->second.path.size() >= 2);
   msg.detour = true;
-  return send_routed(u, std::move(msg), it->second.path);
+  return send_routed(u, std::move(msg), next->path);
 }
 
 bool MdtOverlay::send_ctrl(NodeId from, NodeId to, Envelope&& msg) {
@@ -608,20 +602,18 @@ bool MdtOverlay::send_routed(NodeId u, Envelope&& msg, std::vector<NodeId> path)
   return send_ctrl(u, next, std::move(msg));
 }
 
-int MdtOverlay::send_over_virtual_links(NodeId u, Kind kind) {
-  const NodeState& s = st(u);
+int MdtOverlay::send_to_neighbors(NodeId u, Kind kind, bool include_phys) {
   int sent = 0;
-  for (NodeId y : s.dt_nbrs) {
-    if (s.phys.count(y)) continue;
-    const auto it = s.cand.find(y);
-    if (it == s.cand.end() || it->second.path.size() < 2) continue;
+  for_each_neighbor(u, [&](const NeighborView& v) {
+    if (v.is_phys && !include_phys) return;
     Envelope m;
     m.kind = kind;
     m.origin = u;
-    m.target = y;
+    m.target = v.id;
     m.origin_info = info_of(u);
-    if (send_routed(u, std::move(m), it->second.path)) ++sent;
-  }
+    if (v.is_phys ? send_ctrl(u, v.id, std::move(m)) : send_routed(u, std::move(m), v.path))
+      ++sent;
+  });
   return sent;
 }
 
@@ -639,12 +631,12 @@ void MdtOverlay::note_relay(NodeId u, NodeId a, NodeId b, NodeId pred, NodeId su
 std::vector<NodeInfo> MdtOverlay::neighbor_infos(NodeId u) const {
   const NodeState& s = st(u);
   std::vector<NodeInfo> infos;
-  infos.reserve(s.phys.size() + s.dt_nbrs.size());
+  infos.reserve(s.phys.size() + s.dt_nbrs().size());
   for (const auto& [id, info] : s.phys) infos.push_back(info);
   // P_u and N_u are both id-sorted: one merge walk skips the DT neighbors
   // already sent as physical ones (the for_each_neighbor idiom).
   auto phys = s.phys.begin();
-  for (NodeId y : s.dt_nbrs) {
+  for (NodeId y : s.dt_nbrs()) {
     while (phys != s.phys.end() && phys->first < y) ++phys;
     if (phys != s.phys.end() && phys->first == y) continue;
     const auto it = s.cand.find(y);
@@ -748,7 +740,7 @@ void MdtOverlay::resend_nbr_request(NodeId u, NodeId y) {
     // pair whose informed common neighbors all have smaller ids than both
     // endpoints would stay mutually unaware forever after churn.
     e.nbr_infos = neighbor_infos(u);
-    e.ttl = config_.greedy_ttl;
+    e.ttl = kGreedyTtl;
     return e;
   };
   // The request's trail starts at u, whether its first leg is one physical
@@ -778,7 +770,7 @@ void MdtOverlay::resend_nbr_request(NodeId u, NodeId y) {
   bool sent = s.phys.count(y) && net_.alive(y) && direct(y);
   if (!sent && config_.refresh_paths_greedily) {
     const auto next = greedy_next(u, cand_it->second.pos, {u}, /*joined_only=*/false);
-    sent = next && s.phys.count(*next) && direct(*next);
+    sent = next && next->is_phys && direct(next->id);
   }
   if (!sent && cand_it->second.path.size() >= 2) sent = detour(cand_it->second.path);
   const NodeId via = cand_it->second.via;
@@ -799,7 +791,7 @@ void MdtOverlay::resend_nbr_request(NodeId u, NodeId y) {
   ++p.attempts;
   const int attempts = p.attempts;
   p.timer = net_.simulator().schedule_in_node(
-      u, config_.sync_timeout_s + rng_at(u).uniform(0.0, 0.3), [this, u, y, attempts] {
+      u, kSyncTimeoutS + rng_at(u).uniform(0.0, 0.3), [this, u, y, attempts] {
         NodeState& su = st(u);
         auto it = su.pending.find(y);
         if (it == su.pending.end() || it->second.attempts != attempts) return;
@@ -812,7 +804,7 @@ void MdtOverlay::resend_nbr_request(NodeId u, NodeId y) {
           su.pending.erase(it);
           return;
         }
-        if (attempts < config_.max_sync_retries) {
+        if (attempts < kMaxSyncRetries) {
           // Retry through the SAME pending entry so the attempt count
           // accumulates; erasing it here would reset the retry budget and
           // make the give-up below unreachable.
@@ -833,7 +825,7 @@ void MdtOverlay::restart_pair_syncs(NodeId u) {
   // Per paper, every DT-neighbor pair exchanges a Neighbor-Set Request and
   // Reply each round; the smaller id initiates to keep it to two messages.
   NodeState& s = st(u);
-  for (NodeId y : s.dt_nbrs) {
+  for (NodeId y : s.dt_nbrs()) {
     if (y <= u) continue;  // the larger id answers the smaller one's request
     auto it = s.cand.find(y);
     if (it != s.cand.end()) it->second.synced = false;
@@ -843,7 +835,7 @@ void MdtOverlay::restart_pair_syncs(NodeId u) {
 
 void MdtOverlay::sync_missing_neighbors(NodeId u) {
   NodeState& s = st(u);
-  for (NodeId y : s.dt_nbrs) {
+  for (NodeId y : s.dt_nbrs()) {
     auto it = s.cand.find(y);
     if (it == s.cand.end()) continue;
     if (!it->second.synced && !s.pending.count(y)) send_nbr_request(u, y);
@@ -852,12 +844,12 @@ void MdtOverlay::sync_missing_neighbors(NodeId u) {
   // recomputed its neighbor set (further syncs refine it), or when every DT
   // neighbor is already synced.
   if (!s.joined) {
-    bool all = !s.dt_nbrs.empty();
-    for (NodeId y : s.dt_nbrs) {
+    bool all = !s.dt_nbrs().empty();
+    for (NodeId y : s.dt_nbrs()) {
       auto it = s.cand.find(y);
       if (it == s.cand.end() || !it->second.synced) all = false;
     }
-    if (all || (s.got_join_reply && !s.dt_nbrs.empty())) mark_joined(u);
+    if (all || (s.got_join_reply && !s.dt_nbrs().empty())) mark_joined(u);
   }
 }
 
@@ -865,7 +857,7 @@ void MdtOverlay::schedule_recompute(NodeId u) {
   NodeState& s = st(u);
   if (s.recompute_scheduled) return;
   s.recompute_scheduled = true;
-  net_.simulator().schedule_in_node(u, config_.recompute_delay_s, [this, u] { recompute(u); });
+  net_.simulator().schedule_in_node(u, kRecomputeDelayS, [this, u] { recompute(u); });
 }
 
 void MdtOverlay::recompute(NodeId u) {
@@ -894,7 +886,7 @@ void MdtOverlay::recompute(NodeId u) {
                               [](const auto& e, NodeId k) { return e.first < k; }),
              u, s.pos);
   if (s.local_dt.update(u, in)) ++rec_at(u).rebuilds;
-  s.dt_nbrs.assign(s.local_dt.neighbors().begin(), s.local_dt.neighbors().end());
+  const std::vector<NodeId>& dt_nbrs = s.dt_nbrs();
 
   // Candidate pruning (soft state): keep DT neighbors, physical neighbors,
   // nodes with an exchange in flight, and freshly learned nodes that have
@@ -902,16 +894,16 @@ void MdtOverlay::recompute(NodeId u) {
   const sim::Time now = net_.simulator().now();
   erase_if(s.cand, [&](const auto& e) {
     const NodeId id = e.first;
-    const bool keep = std::binary_search(s.dt_nbrs.begin(), s.dt_nbrs.end(), id) ||
+    const bool keep = std::binary_search(dt_nbrs.begin(), dt_nbrs.end(), id) ||
                       s.phys.count(id) || s.pending.count(id) ||
-                      now - e.second.last_heard <= config_.candidate_fresh_s;
+                      now - e.second.last_heard <= kCandidateFreshS;
     if (!keep) s.fd.erase(id);
     return !keep;
   });
 
   // Ensure every DT neighbor has a candidate record (physical neighbors may
   // not have one yet: give them their trivial one-hop path and link cost).
-  for (NodeId y : s.dt_nbrs) {
+  for (NodeId y : dt_nbrs) {
     const auto pit = s.phys.find(y);
     if (pit == s.phys.end() || s.cand.count(y)) continue;
     Candidate& c = s.cand[y];
@@ -956,8 +948,6 @@ const std::vector<NodeId>& MdtOverlay::virtual_path(NodeId u, NodeId v) const {
   return it->second.path;
 }
 
-std::vector<NodeId> MdtOverlay::dt_neighbors(NodeId u) const { return st(u).dt_nbrs; }
-
 std::vector<NodeId> MdtOverlay::candidate_ids(NodeId u) const {
   std::vector<NodeId> ids;
   ids.reserve(st(u).cand.size());
@@ -968,9 +958,9 @@ std::vector<NodeId> MdtOverlay::candidate_ids(NodeId u) const {
 int MdtOverlay::distinct_nodes_stored(NodeId u) const {
   const NodeState& s = st(u);
   std::vector<NodeId> known;
-  known.reserve(s.phys.size() + s.dt_nbrs.size() + 4 * s.relay.size());
+  known.reserve(s.phys.size() + s.dt_nbrs().size() + 4 * s.relay.size());
   for (const auto& [id, info] : s.phys) known.push_back(id);
-  known.insert(known.end(), s.dt_nbrs.begin(), s.dt_nbrs.end());
+  known.insert(known.end(), s.dt_nbrs().begin(), s.dt_nbrs().end());
   for (const auto& [pair, entry] : s.relay)
     known.insert(known.end(), {pair.first, pair.second, entry.pred, entry.succ});
   std::erase(known, u);

@@ -23,6 +23,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -50,27 +51,15 @@ inline Envelope make_ack(NodeId from, NodeId to, std::uint64_t seq) {
   return a;
 }
 
+// The local DT's keys are node ids: its neighbor list is N_u itself.
+static_assert(std::is_same_v<geom::LocalDelaunay::Key, NodeId>);
+
 struct MdtConfig {
   int dim = 3;                     // dimension of the (virtual) space
-  double sync_timeout_s = 1.5;     // Neighbor-Set Request retry timeout
-  int max_sync_retries = 4;        // per maintenance round
-  // Non-neighbor candidates survive one recompute cycle: freshly learned
-  // nodes must be considered once, but keeping them longer balloons the
-  // local-DT input during early construction.
-  double candidate_fresh_s = 2.0;
-  double relay_ttl_s = 60.0;       // soft-state expiry for relay entries
   // A multi-hop DT neighbor not heard from (position update or neighbor-set
   // exchange) for this long is presumed dead and dropped at the next
   // maintenance round -- the mechanism behind churn recovery (Sec. IV-H).
   double neighbor_stale_s = 45.0;
-  double recompute_delay_s = 0.7;  // coalescing delay for local DT recomputes
-  // Robustness: when a maintenance round observes that N_u changed since the
-  // previous round (churn, partition healing, large position shifts), one
-  // follow-up neighbor-set sync fires after this delay, still inside the
-  // same J period. Self-limiting: a stable DT never pays for it, while
-  // post-fault repair runs at twice the per-period rate. 0 disables.
-  double resync_after_change_s = 2.5;
-  int greedy_ttl = 96;             // hop budget for greedy-forwarded requests
   // Ablation switch: when true (default), neighbor-set re-syncs route
   // greedily first so virtual-link paths shrink as the embedding converges;
   // when false, the stored path is always reused ("sticky paths"), so costs
@@ -85,9 +74,10 @@ struct MdtConfig {
   FailureDetectorConfig fd;
 };
 
-// A neighbor as seen by VPoD's adjustment algorithm and by GDV forwarding,
-// handed to MdtOverlay::for_each_neighbor's visitor. `pos` refers to the
-// position the node stores for that neighbor; it is valid during the call.
+// A member of P_u ∪ N_u as seen by VPoD's adjustment, GDV forwarding and
+// MDT-greedy, handed to MdtOverlay::for_each_neighbor's visitor. `pos` and
+// `path` refer to what u stores for that neighbor; they stay valid until u's
+// tables next change.
 struct NeighborView {
   NodeId id;
   const Vec& pos;
@@ -95,6 +85,12 @@ struct NeighborView {
   double cost;   // c(u,v) for physical neighbors, D(u,v) otherwise
   bool is_phys;
   bool is_dt;
+  // P_u's advertised flag; true for N_u \ P_u, whose members are in the
+  // multi-hop DT.
+  bool joined;
+  // The stored virtual-link route u -> ... -> id: empty for P_u, which is
+  // reached in one hop.
+  const std::vector<NodeId>& path;
 };
 
 class MdtOverlay {
@@ -142,21 +138,34 @@ class MdtOverlay {
   const Vec& position(NodeId u) const { return states_[static_cast<std::size_t>(u)].pos; }
   double error(NodeId u) const { return states_[static_cast<std::size_t>(u)].err; }
   // Calls fn(const NeighborView&) for each of P_u ∪ N_u with its position,
-  // error and routing cost, without allocating: first P_u by id, then
-  // N_u \ P_u by id (multi-hop DT neighbors with a finite cost). Every
-  // tie-break in VPoD and GDV forwarding depends on this order.
+  // error, routing cost and route, without allocating: first P_u by id, then
+  // N_u \ P_u by id (multi-hop DT neighbors with a finite cost, hence a
+  // stored path; see Candidate). Every tie-break in VPoD, GDV forwarding and
+  // MDT-greedy depends on this order.
   template <typename Fn>
   void for_each_neighbor(NodeId u, Fn&& fn) const;
+  // MDT-greedy's next hop toward `pos` from u, excluding `visited`: the
+  // physical neighbor closest to `pos` over a live, usable link, if it is
+  // closer than u; otherwise the closest multi-hop DT neighbor closer than u.
+  // `joined_only` (join requests, which travel inside the multi-hop DT)
+  // restricts physical hops to joined nodes. nullopt when u is a local
+  // minimum. The view's references die with the next change to u's tables.
+  std::optional<NeighborView> greedy_next(NodeId u, const Vec& pos,
+                                          const std::vector<NodeId>& visited,
+                                          bool joined_only) const;
   // Advertised state of physical neighbors (populated by Hello / PosUpdate;
   // available even before the node activates -- VPoD's position
   // initialization rules need it).
   const FlatMap<NodeId, NodeInfo>& phys_info(NodeId u) const {
     return states_[static_cast<std::size_t>(u)].phys;
   }
-  // The stored physical route u -> ... -> v for a multi-hop DT neighbor v
-  // (empty for physical neighbors and unknown nodes).
+  // The physical route u -> ... -> v that C_u stores for v: the route of
+  // the last completed exchange, or {u, v} for a physical DT neighbor that
+  // recompute() gave a record; empty when v has neither. for_each_neighbor's
+  // view gives P_u an empty path instead: P_u is reached in one hop.
   const std::vector<NodeId>& virtual_path(NodeId u, NodeId v) const;
-  std::vector<NodeId> dt_neighbors(NodeId u) const;
+  // N_u, sorted by id.
+  const std::vector<NodeId>& dt_neighbors(NodeId u) const { return st(u).dt_nbrs(); }
   // Introspection for diagnostics/eval: the ids currently in C_u.
   std::vector<NodeId> candidate_ids(NodeId u) const;
   // Storage metric: distinct remote nodes u must store to forward (physical
@@ -175,7 +184,7 @@ class MdtOverlay {
   // event sequence (DESIGN.md §4g).
   struct SyncStats {
     std::uint64_t requests = 0;  // neighbor-set requests sent, incl. retries
-    std::uint64_t failures = 0;  // sync rounds abandoned after max_sync_retries
+    std::uint64_t failures = 0;  // sync rounds abandoned after the last retry
   };
   SyncStats sync_stats() const {
     SyncStats total;
@@ -245,6 +254,12 @@ class MdtOverlay {
     double err = 1.0;
     std::uint64_t pos_version = 0;  // version of `pos` (see NodeInfo)
     std::uint32_t incarnation = 0;  // highest incarnation heard from this node
+    // Invariant: `cost` is finite exactly when `path` holds a physical route
+    // owner -> ... -> this node (at least two nodes), and it is that route's
+    // cost. Every writer keeps it: recompute() gives a physical DT neighbor
+    // {owner, node} and its link cost, and both callers of learn_synced() set
+    // the path of the exchange whose cost they record. for_each_neighbor
+    // relies on it to hand out N_u \ P_u with their paths.
     double cost = graph::kInf;     // routing cost from the owner to this node
     std::vector<NodeId> path;      // physical route owner -> ... -> node
     NodeId via = -1;               // the neighbor whose reply taught us this node
@@ -279,7 +294,6 @@ class MdtOverlay {
     // ascending id order, and an insert invalidates references into it.
     FlatMap<NodeId, NodeInfo> phys;       // physical neighbors' advertised state
     FlatMap<NodeId, Candidate> cand;      // candidate set C_u
-    std::vector<NodeId> dt_nbrs;          // N_u (sorted)
     // Relay entries: normalized endpoint pair -> pred/succ soft state.
     FlatMap<std::pair<NodeId, NodeId>, RelayEntry> relay;
     FlatMap<NodeId, PendingSync> pending;
@@ -289,6 +303,8 @@ class MdtOverlay {
     // of the NodeState on deactivation (counters are folded into
     // dt_retired_ first).
     geom::LocalDelaunay local_dt;
+    // N_u, sorted: the local DT's neighbor list, its only copy.
+    const std::vector<NodeId>& dt_nbrs() const { return local_dt.neighbors(); }
     bool resync_scheduled = false;
     bool recompute_scheduled = false;
     sim::Time last_join_attempt = -1e18;  // rate limit for join retries
@@ -347,13 +363,6 @@ class MdtOverlay {
   void on_heartbeat(NodeId u, const Envelope& msg);
 
   // --- forwarding helpers --------------------------------------------------
-  // Greedy next hop toward `pos` among u's physical neighbors and DT
-  // neighbors, excluding already visited nodes. Join requests restrict
-  // physical hops to joined nodes (the multi-hop DT members). Returns the
-  // chosen neighbor id, or nullopt if u is a local minimum among eligible
-  // candidates.
-  std::optional<NodeId> greedy_next(NodeId u, const Vec& pos, const std::vector<NodeId>& visited,
-                                    bool joined_only) const;
   // Sends a greedy-phase message onward from u (handles virtual-link
   // detours); returns false when no progress was possible.
   bool forward_request(NodeId u, Envelope msg);
@@ -364,16 +373,17 @@ class MdtOverlay {
   // least two nodes): the route's first physical hop. A caller whose copy
   // of the path is spare moves it in.
   bool send_routed(NodeId u, Envelope&& msg, std::vector<NodeId> path);
-  // Sends a fresh `kind` message from u to each multi-hop DT neighbor along
-  // its virtual link; returns how many sends succeeded.
-  int send_over_virtual_links(NodeId u, Kind kind);
+  // Sends a fresh `kind` message from u to each neighbor for_each_neighbor
+  // visits, in its order: to P_u in one hop when `include_phys`, then to
+  // N_u \ P_u along each virtual link. Returns how many sends succeeded.
+  int send_to_neighbors(NodeId u, Kind kind, bool include_phys);
   // Installs/refreshes a relay entry at u for the virtual link (a, b).
   void note_relay(NodeId u, NodeId a, NodeId b, NodeId pred, NodeId succ);
 
   // --- protocol actions ------------------------------------------------------
   void send_nbr_request(NodeId u, NodeId y);
   // (Re)sends without the in-flight guard: reuses any existing pending entry
-  // so retry attempts accumulate toward max_sync_retries.
+  // so retry attempts accumulate toward the retry budget.
   void resend_nbr_request(NodeId u, NodeId y);
   // Marks the DT-neighbor exchanges u initiates due again and schedules the
   // recompute that sends them.
@@ -412,27 +422,29 @@ class MdtOverlay {
 template <typename Fn>
 void MdtOverlay::for_each_neighbor(NodeId u, Fn&& fn) const {
   const NodeState& s = st(u);
+  const std::vector<NodeId>& dt_nbrs = s.dt_nbrs();
   // P_u, N_u and u's CSR run are all sorted by id, so one merge walk marks
   // which physical neighbors are also DT neighbors and reads each one's link
   // cost: the first arc to it, kInf if there is none (link_cost's rule)...
-  auto dt = s.dt_nbrs.begin();
+  auto dt = dt_nbrs.begin();
   const std::span<const graph::Edge> arcs = net_.links().neighbors(u);
   auto arc = arcs.begin();
   for (const auto& [id, info] : s.phys) {
-    while (dt != s.dt_nbrs.end() && *dt < id) ++dt;
+    while (dt != dt_nbrs.end() && *dt < id) ++dt;
     while (arc != arcs.end() && arc->to < id) ++arc;
-    const bool is_dt = dt != s.dt_nbrs.end() && *dt == id;
+    const bool is_dt = dt != dt_nbrs.end() && *dt == id;
     const double cost = arc != arcs.end() && arc->to == id ? arc->cost : graph::kInf;
-    fn(NeighborView{id, info.pos, info.err, cost, true, is_dt});
+    fn(NeighborView{id, info.pos, info.err, cost, true, is_dt, info.joined, empty_path_});
   }
   // ...and a second one skips them among the DT neighbors.
   auto phys = s.phys.begin();
-  for (NodeId y : s.dt_nbrs) {
+  for (NodeId y : dt_nbrs) {
     while (phys != s.phys.end() && phys->first < y) ++phys;
     if (phys != s.phys.end() && phys->first == y) continue;
     const auto it = s.cand.find(y);
     if (it == s.cand.end() || !std::isfinite(it->second.cost)) continue;
-    fn(NeighborView{y, it->second.pos, it->second.err, it->second.cost, false, true});
+    const Candidate& c = it->second;
+    fn(NeighborView{y, c.pos, c.err, c.cost, false, true, true, c.path});
   }
 }
 

@@ -20,13 +20,8 @@ MdtView snapshot_overlay(const mdt::MdtOverlay& overlay, const graph::Graph& met
     view.pos[static_cast<std::size_t>(u)] = overlay.position(u);
     if (!view.alive[static_cast<std::size_t>(u)]) continue;
     overlay.for_each_neighbor(u, [&](const mdt::NeighborView& nv) {
-      if (!nv.is_dt || nv.is_phys) return;
-      MdtView::DtNbr d;
-      d.id = nv.id;
-      d.cost = nv.cost;
-      d.path = overlay.virtual_path(u, nv.id);
-      if (d.path.size() >= 2 && d.path.front() == u && d.path.back() == nv.id)
-        view.dt[static_cast<std::size_t>(u)].push_back(std::move(d));
+      if (!nv.is_phys)
+        view.dt[static_cast<std::size_t>(u)].push_back(MdtView::DtNbr{nv.id, nv.cost, nv.path});
     });
   }
   return view;

@@ -36,9 +36,9 @@ struct MdtView {
   bool is_alive(int u) const { return alive.empty() || alive[static_cast<std::size_t>(u)]; }
 };
 
-// Snapshot of the distributed overlay (only synced multi-hop DT neighbors
-// with usable paths are included; physical DT neighbors are reachable via the
-// metric graph directly).
+// Snapshot of the distributed overlay: each node's multi-hop DT neighbors
+// with a finite cost, as for_each_neighbor hands them out, with their stored
+// paths (physical DT neighbors are reachable via the metric graph directly).
 MdtView snapshot_overlay(const mdt::MdtOverlay& overlay, const graph::Graph& metric);
 
 // Offline construction: Delaunay graph of `positions`; every non-physical DT

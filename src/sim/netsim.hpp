@@ -205,7 +205,9 @@ class NetSim {
     else if (links_.has_edge(u, v))
       down_links_.insert(LinkSet::key(u, v));
   }
-  bool link_up(int u, int v) const { return !down_links_.contains(LinkSet::key(u, v)); }
+  bool link_up(int u, int v) const {
+    return down_links_.empty() || !down_links_.contains(LinkSet::key(u, v));
+  }
   // A link exists physically AND is administratively up.
   bool link_usable(int u, int v) const { return links_.has_edge(u, v) && link_up(u, v); }
 
@@ -222,16 +224,8 @@ class NetSim {
     return incarnation_[static_cast<std::size_t>(node)];
   }
 
-  // Link-layer view: alive physical neighbors of an alive node over usable
-  // links, with costs. Heap-allocates; hot callers use the for_each variant.
-  std::vector<graph::Edge> alive_neighbors(int u) const {
-    std::vector<graph::Edge> result;
-    for_each_alive_neighbor(u, [&](const graph::Edge& e) { result.push_back(e); });
-    return result;
-  }
-
-  // Allocation-free equivalent: invokes fn(edge) for every alive physical
-  // neighbor of an alive node over a usable link, in adjacency order.
+  // Link-layer view: invokes fn(edge) for every alive physical neighbor of
+  // an alive node over a usable link, with its cost, in adjacency order.
   template <typename Fn>
   void for_each_alive_neighbor(int u, Fn&& fn) const {
     if (!alive(u)) return;
@@ -291,9 +285,6 @@ class NetSim {
   // Subsets of messages_lost() / extra deliveries injected by fault knobs.
   std::uint64_t fault_messages_lost() const { return sum(&NodeCounters::fault_lost); }
   std::uint64_t messages_duplicated() const { return sum(&NodeCounters::duplicated); }
-  void reset_counters() {
-    for (NodeCounters& c : counters_) c.sent = 0;
-  }
 
  private:
   // Written only from the owning node's lane: sent/lost/fault_lost/

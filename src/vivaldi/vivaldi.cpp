@@ -58,8 +58,9 @@ void TwoHopVivaldi::begin_period(NodeId u) {
 
 void TwoHopVivaldi::do_sample(NodeId u) {
   if (!net_.alive(u)) return;
-  const auto nbrs = net_.alive_neighbors(u);
-  if (nbrs.empty()) return;
+  int degree = 0;
+  net_.for_each_alive_neighbor(u, [&](const graph::Edge&) { ++degree; });
+  if (degree == 0) return;
   auto& two = two_hop_[static_cast<std::size_t>(u)];
   // 1-hop and 2-hop samples alternate 50/50 in expectation, matching the
   // paper's 100 + 100 per period.
@@ -75,9 +76,11 @@ void TwoHopVivaldi::do_sample(NodeId u) {
     m.target = it->first;
     m.route = {u, it->second, it->first};
   } else {
-    const auto& pick = nbrs[static_cast<std::size_t>(rng_at(u).uniform_index(static_cast<int>(nbrs.size())))];
-    m.target = pick.to;
-    m.route = {u, pick.to};
+    int skip = rng_at(u).uniform_index(degree);
+    net_.for_each_alive_neighbor(u, [&](const graph::Edge& e) {
+      if (skip-- == 0) m.target = e.to;
+    });
+    m.route = {u, m.target};
   }
   m.route_idx = 0;
   const NodeId next = m.route[1];  // read before the envelope is moved from
@@ -151,7 +154,7 @@ void TwoHopVivaldi::vivaldi_update(NodeId u, const Vec& remote_pos, double remot
 
 int TwoHopVivaldi::distinct_nodes_stored(NodeId u) const {
   std::vector<NodeId> known;
-  for (const graph::Edge& e : net_.alive_neighbors(u)) known.push_back(e.to);
+  net_.for_each_alive_neighbor(u, [&](const graph::Edge& e) { known.push_back(e.to); });
   for (const auto& [id, via] : two_hop_[static_cast<std::size_t>(u)]) {
     (void)via;
     known.push_back(id);

@@ -88,63 +88,48 @@ void LiveGdv::forward(NodeId u, Envelope&& msg) {
   const double own = overlay.position(u).distance(tpos);
 
   // Lines 1-3 (Fig. 7, right column): DV estimates over P_u ∪ N_u from u's
-  // own knowledge of neighbor positions and costs. The same pass finds the
-  // physical neighbor closest to the target for the line-5 fallback.
-  NodeId best = -1;
-  bool best_phys = false;
+  // own knowledge of neighbor positions, costs and virtual links. The link
+  // layer knows dead neighbors and downed links. The same pass finds the
+  // physical hop MDT-greedy (line 5) would take, greedy_next's first choice.
+  NodeId next = -1;
+  const std::vector<NodeId>* path = nullptr;
   double best_r = graph::kInf;
-  NodeId gbest = -1;
-  double gbest_d = own;
+  NodeId greedy_phys = -1;
+  double greedy_d = own;
   overlay.for_each_neighbor(u, [&](const NeighborView& v) {
-    if (!net_.alive(v.id)) return;  // link layer knows dead neighbors
+    if (!net_.alive(v.id) || (v.is_phys && !net_.link_up(u, v.id))) return;
     const double d = v.pos.distance(tpos);
     const double r = v.cost + d;
     if (r < best_r) {
       best_r = r;
-      best = v.id;
-      best_phys = v.is_phys;
+      next = v.id;
+      path = &v.path;
     }
-    if (v.is_phys && d < gbest_d) {
-      gbest_d = d;
-      gbest = v.id;
+    if (v.is_phys && d < greedy_d) {
+      greedy_d = d;
+      greedy_phys = v.id;
     }
   });
-  if (best >= 0 && best_r < own) {
-    if (best_phys) {
-      (void)net_.send(u, best, std::move(msg));
+  // Line 5: MDT-greedy on u's local state: the physical hop found above,
+  // else greedy_next's multi-hop one.
+  if (next < 0 || !(best_r < own)) {
+    if (greedy_phys >= 0) {
+      (void)net_.send(u, greedy_phys, std::move(msg));
       return;
     }
-    const auto& path = overlay.virtual_path(u, best);
-    if (path.size() >= 2) {
-      msg.detour = true;
-      msg.route = path;
-      msg.route_idx = 0;
-      const NodeId next = path[1];
-      (void)net_.send(u, next, std::move(msg));
-      return;
-    }
+    const auto greedy = overlay.greedy_next(u, tpos, {}, /*joined_only=*/false);
+    if (!greedy) return;  // local minimum: DT incomplete here
+    next = greedy->id;
+    path = &greedy->path;
   }
-
-  // Line 5: MDT-greedy fallback on u's local state, physical hops first.
-  if (gbest >= 0) {
-    (void)net_.send(u, gbest, std::move(msg));
+  if (path->empty()) {
+    (void)net_.send(u, next, std::move(msg));
     return;
   }
-  overlay.for_each_neighbor(u, [&](const NeighborView& v) {
-    if (v.is_phys || !v.is_dt) return;
-    const double d = v.pos.distance(tpos);
-    if (d < gbest_d && overlay.virtual_path(u, v.id).size() >= 2) {
-      gbest_d = d;
-      gbest = v.id;
-    }
-  });
-  if (gbest < 0) return;  // local minimum: DT incomplete here
-  const auto& path = overlay.virtual_path(u, gbest);
   msg.detour = true;
-  msg.route = path;
+  msg.route = *path;
   msg.route_idx = 0;
-  const NodeId next = path[1];
-  (void)net_.send(u, next, std::move(msg));
+  (void)net_.send(u, (*path)[1], std::move(msg));
 }
 
 }  // namespace gdvr::vpod

@@ -75,8 +75,8 @@ void Vpod::receive_token(NodeId u, const NodeInfo& sender) {
   // Enter the first J period shortly afterwards (staggered so the token
   // flood and initial Hellos settle).
   net_.simulator().schedule_in_node(u, 0.1 + rng_at(u).uniform(0.0, 0.2),
-                                    [this, u, life = life_of(u)] {
-    if (same_life(u, life)) enter_join_period(u);
+                                    [this, u, inc = net_.incarnation(u)] {
+    if (net_.incarnation(u) == inc) enter_join_period(u);
   });
 }
 
@@ -132,8 +132,9 @@ void Vpod::enter_join_period(NodeId u) {
     overlay_.start_join(u);
   else
     overlay_.run_maintenance_round(u);
-  net_.simulator().schedule_in_node(u, config_.join_period_s, [this, u, life = life_of(u)] {
-    if (same_life(u, life)) enter_adjust_period(u);
+  net_.simulator().schedule_in_node(u, config_.join_period_s,
+                                    [this, u, inc = net_.incarnation(u)] {
+    if (net_.incarnation(u) == inc) enter_adjust_period(u);
   });
 }
 
@@ -151,15 +152,15 @@ void Vpod::adjustment_tick(NodeId u) {
   const sim::Time next = net_.simulator().now() + dt;
   if (next >= a_end) {
     // Period over: one last wait until the boundary, then back to a J period.
-    net_.simulator().schedule_at_node(u, a_end, [this, u, life = life_of(u)] {
-      if (!same_life(u, life) || !net_.alive(u) || !overlay_.active(u)) return;
+    net_.simulator().schedule_at_node(u, a_end, [this, u, inc = net_.incarnation(u)] {
+      if (net_.incarnation(u) != inc || !net_.alive(u) || !overlay_.active(u)) return;
       ++periods_[static_cast<std::size_t>(u)];
       enter_join_period(u);
     });
     return;
   }
-  net_.simulator().schedule_at_node(u, next, [this, u, life = life_of(u)] {
-    if (!same_life(u, life) || !net_.alive(u) || !overlay_.active(u)) return;
+  net_.simulator().schedule_at_node(u, next, [this, u, inc = net_.incarnation(u)] {
+    if (net_.incarnation(u) != inc || !net_.alive(u) || !overlay_.active(u)) return;
     adjust(u);
     adjustment_tick(u);
   });
@@ -215,36 +216,32 @@ void Vpod::adjust(NodeId u) {
 // Churn (Sec. IV-H)
 
 void Vpod::fail_node(NodeId u) {
-  overlay_.deactivate(u);
-  NodeCtl& c = ctl_[static_cast<std::size_t>(u)];
-  const std::uint32_t next_life = c.life + 1;
-  c = NodeCtl{};
-  c.life = next_life;  // cancels every timer scheduled in the previous life
+  overlay_.deactivate(u);  // the node is dead: its timers do nothing
+  ctl_[static_cast<std::size_t>(u)] = NodeCtl{};
   periods_[static_cast<std::size_t>(u)] = 0;
 }
 
 void Vpod::join_node(NodeId u) {
-  net_.set_alive(u, true);
-  NodeCtl& c = ctl_[static_cast<std::size_t>(u)];
-  c.has_token = true;
+  net_.set_alive(u, true);  // a new incarnation: timers of the last life die
+  ctl_[static_cast<std::size_t>(u)].has_token = true;
   // Initial position: centroid of alive physical neighbors with error < 1
   // (modeling a link-layer position probe of the direct neighborhood).
   Vec centroid = Vec::zero(config_.dim);
   int count = 0;
-  for (const graph::Edge& e : net_.alive_neighbors(u)) {
+  net_.for_each_alive_neighbor(u, [&](const graph::Edge& e) {
     if (overlay_.active(e.to) && overlay_.error(e.to) < 1.0) {
       centroid += overlay_.position(e.to);
       ++count;
     }
-  }
+  });
   Vec pos = count > 0 ? centroid / static_cast<double>(count)
                       : rng_at(u).point_on_sphere(Vec::zero(config_.dim), 1.0);
   // Small offset so multiple joiners sharing neighbors do not coincide.
   pos = rng_at(u).point_on_sphere(pos, 0.05 + 0.001 * static_cast<double>(u));
   overlay_.activate(u, pos, false);
   net_.simulator().schedule_in_node(u, 0.1 + rng_at(u).uniform(0.0, 0.2),
-                                    [this, u, life = life_of(u)] {
-    if (same_life(u, life)) enter_join_period(u);
+                                    [this, u, inc = net_.incarnation(u)] {
+    if (net_.incarnation(u) == inc) enter_join_period(u);
   });
 }
 

@@ -89,22 +89,16 @@ class Vpod {
   void handle(NodeId to, NodeId from, Envelope&& msg);
 
  private:
+  // A node's life is its NetSim incarnation. Every J/A timer captures the
+  // incarnation it was scheduled in: one that outlives the node's death
+  // finds it dead (each body checks net_.alive first) or, once it rejoined,
+  // at a newer incarnation, and is discarded. Without this, a stale adjust
+  // timer from the previous life could fire into a rejoined node whose
+  // A-period state was reset.
   struct NodeCtl {
     bool has_token = false;
     sim::Time a_period_end = 0.0;
-    // Bumped by fail_node: pending J/A timers capture the life they were
-    // scheduled in and discard themselves if the node has died (and possibly
-    // rejoined as a fresh protocol instance) since. Without this, a stale
-    // adjust timer from the previous life can fire into a rejoined node whose
-    // A-period state was reset.
-    std::uint32_t life = 0;
   };
-
-  // True while node u is still in the protocol life a timer was scheduled in.
-  bool same_life(NodeId u, std::uint32_t life) const {
-    return ctl_[static_cast<std::size_t>(u)].life == life;
-  }
-  std::uint32_t life_of(NodeId u) const { return ctl_[static_cast<std::size_t>(u)].life; }
 
   void receive_token(NodeId u, const NodeInfo& sender);
   Vec initial_position(NodeId u, const NodeInfo& sender);

@@ -59,12 +59,12 @@ struct World {
     while (!q.empty()) {
       const int u = q.front();
       q.pop();
-      for (const auto& e : net.alive_neighbors(u)) {
-        if (seen[static_cast<std::size_t>(e.to)]) continue;
+      net.for_each_alive_neighbor(u, [&](const graph::Edge& e) {
+        if (seen[static_cast<std::size_t>(e.to)]) return;
         seen[static_cast<std::size_t>(e.to)] = 1;
         ++count;
         q.push(e.to);
-      }
+      });
     }
     return count;
   }

@@ -124,7 +124,8 @@ TEST(Mdt, PhysicalDtNeighborsUseLinkCost) {
 
 // for_each_neighbor's order contract, which every VPoD and GDV tie-break
 // relies on: P_u by id, then N_u \ P_u by id; is_dt marks exactly the
-// members of N_u; nothing else is visited.
+// members of N_u; nothing else is visited. The view carries P_u's advertised
+// joined flag and, for N_u \ P_u, the stored virtual-link path.
 TEST(Mdt, ForEachNeighborVisitsPhysicalThenDtNeighborsById) {
   Harness h(60, 21);
   h.start_all();
@@ -144,9 +145,13 @@ TEST(Mdt, ForEachNeighborVisitsPhysicalThenDtNeighborsById) {
       if (v.is_phys) {
         EXPECT_TRUE(got_virtual.empty()) << "physical neighbor after a multi-hop one";
         EXPECT_EQ(v.pos, phys.at(v.id).pos);
+        EXPECT_EQ(v.joined, phys.at(v.id).joined) << "node " << u << " neighbor " << v.id;
+        EXPECT_TRUE(v.path.empty()) << "node " << u << " neighbor " << v.id;
         got_phys.push_back(v.id);
         if (v.is_dt) ++phys_dt;
       } else {
+        EXPECT_EQ(v.path, h.overlay->virtual_path(u, v.id)) << "node " << u << " neighbor " << v.id;
+        EXPECT_GE(v.path.size(), 2u) << "node " << u << " neighbor " << v.id;
         got_virtual.push_back(v.id);
         ++multihop;
       }
@@ -157,6 +162,23 @@ TEST(Mdt, ForEachNeighborVisitsPhysicalThenDtNeighborsById) {
   }
   EXPECT_GT(phys_dt, 0);
   EXPECT_GT(multihop, 0);
+
+  // Before anyone but the first node joined, the Hellos advertise
+  // joined = false, and the view says so.
+  Harness fresh(30, 21);
+  for (int u = 0; u < fresh.topo.size(); ++u)
+    fresh.overlay->activate(u, fresh.topo.positions[static_cast<std::size_t>(u)], u == 0);
+  fresh.sim.run_until(0.5);
+  int unjoined = 0;
+  for (int u = 0; u < fresh.topo.size(); ++u) {
+    const auto& phys = fresh.overlay->phys_info(u);
+    fresh.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
+      EXPECT_EQ(v.joined, phys.at(v.id).joined) << "node " << u << " neighbor " << v.id;
+      EXPECT_EQ(v.joined, v.id == 0) << "node " << u << " neighbor " << v.id;
+      if (!v.joined) ++unjoined;
+    });
+  }
+  EXPECT_GT(unjoined, 0);
 }
 
 TEST(Mdt, MultiHopCostsAreValidOverestimates) {
@@ -183,7 +205,7 @@ TEST(Mdt, VirtualPathsArePhysicallyValid) {
   for (int u = 0; u < h.topo.size(); ++u) {
     h.overlay->for_each_neighbor(u, [&](const NeighborView& v) {
       if (v.is_phys || !v.is_dt) return;
-      const auto& path = h.overlay->virtual_path(u, v.id);
+      const auto& path = v.path;
       ASSERT_GE(path.size(), 2u);
       EXPECT_EQ(path.front(), u);
       EXPECT_EQ(path.back(), v.id);
@@ -290,9 +312,12 @@ TEST(Mdt, PositionUpdatePropagates) {
   const Vec new_pos{123.0, 456.0};
   h.overlay->set_position(7, new_pos, 0.5);
   h.sim.run_until(h.sim.now() + 1.0);
-  const auto nbrs = h.net->alive_neighbors(7);
-  ASSERT_FALSE(nbrs.empty());
-  const auto& info = h.overlay->phys_info(nbrs[0].to);
+  NodeId nbr = -1;
+  h.net->for_each_alive_neighbor(7, [&](const graph::Edge& e) {
+    if (nbr < 0) nbr = e.to;
+  });
+  ASSERT_GE(nbr, 0);
+  const auto& info = h.overlay->phys_info(nbr);
   auto it = info.find(7);
   ASSERT_NE(it, info.end());
   EXPECT_EQ(it->second.pos, new_pos);
