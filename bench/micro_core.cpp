@@ -101,10 +101,11 @@ void BM_LocalDelaunayStar(benchmark::State& state) {
   const auto pts = random_points(n, dim, 42);
   geom::Triangulation tri;
   std::vector<int> nbrs;
+  geom::StarCertificate cert;
   int center = 0;
   double degree = 0.0;
   for (auto _ : state) {
-    if (!tri.star_neighbors(pts, center, nbrs)) {
+    if (!tri.star_neighbors(pts, center, nbrs, cert)) {
       state.SkipWithError("star computation failed");
       return;
     }
@@ -151,7 +152,8 @@ BENCHMARK(BM_DeltaDvRound)->Unit(benchmark::kMillisecond);
 // One full maintenance round (adjustment period) of a converged 120-node
 // VPoD/MDT network: position sampling, neighbor-set sync, and every
 // MdtOverlay::recompute the round triggers. The counters give the
-// per-iteration local-DT op mix the round's recomputes applied.
+// per-iteration local-DT op mix the round's recomputes applied, and the
+// moves the star certificates absorbed without a rebuild.
 void BM_MdtMaintenanceRound(benchmark::State& state) {
   static eval::VpodRunner* runner = [] {
     static radio::Topology topo = bench::paper_topology(120, 4242);
@@ -167,6 +169,8 @@ void BM_MdtMaintenanceRound(benchmark::State& state) {
   state.counters["dt_inserts"] = static_cast<double>(after.inserts - before.inserts) / iters;
   state.counters["dt_removes"] = static_cast<double>(after.removes - before.removes) / iters;
   state.counters["dt_moves"] = static_cast<double>(after.moves - before.moves) / iters;
+  state.counters["dt_early_outs"] =
+      static_cast<double>(after.move_early_outs - before.move_early_outs) / iters;
   state.counters["dt_rebuilds"] =
       static_cast<double>(after.full_rebuilds - before.full_rebuilds) / iters;
 }

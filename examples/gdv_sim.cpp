@@ -7,14 +7,20 @@
 //
 //   $ ./build/examples/gdv_sim --nodes 300 --metric ett --dim 4 --obstacles 2
 //   $ ./build/examples/gdv_sim --help
+//
+// With GDVR_PROFILE=1 in the environment, the scoped-timer report (local DT,
+// overlay recompute, dijkstra, ...) follows the run on stderr; stdout is the
+// same either way.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
 
 #include "common/vec.hpp"
 #include "eval/protocol_runner.hpp"
 #include "eval/routing_eval.hpp"
+#include "obs/profile.hpp"
 #include "radio/topology.hpp"
 
 using namespace gdvr;
@@ -199,6 +205,10 @@ int main(int argc, char** argv) {
                 100.0 * mdt.success_rate);
     std::printf("  NADV on actual:%10.3f  (delivery %.1f%%)\n", nadv.transmissions,
                 100.0 * nadv.success_rate);
+  }
+  if (obs::profiling_enabled()) {
+    std::fflush(stdout);
+    obs::write_profile_report(std::cerr);
   }
   return 0;
 }

@@ -66,7 +66,62 @@ std::uint64_t facet_hash(const FacetKey& key, int dim) {
   return h;
 }
 
+// The two conflict predicates, over raw coordinates. Triangulation::in_conflict
+// and StarCertificate::conflicts both call them, so a certified star and a
+// rebuilt one decide every point alike.
+
+// Finite cell: q strictly inside its circumsphere (one squared-distance
+// comparison against the cached sphere).
+bool sphere_conflict(const double* center, double radius2, const double* q, int dim) {
+  double d2 = 0.0;
+  for (int i = 0; i < dim; ++i) {
+    const double diff = q[i] - center[i];
+    d2 += diff * diff;
+  }
+  return d2 < radius2;
+}
+
+// Infinite cell over the hull facet F (its dim vertices): q lies strictly on
+// the outer side of F, away from the apex of the finite cell across F, or on
+// F's hyperplane but inside that cell's circumsphere (center, radius2).
+bool hull_conflict(const double* const* facet, const double* apex, const double* center,
+                   double radius2, const double* q, int dim) {
+  // Orientation of (F, x): rows f_1 - f_0, ..., f_{dim-1} - f_0, x - f_0.
+  const auto orient_facet = [facet, dim](const double* x) {
+    double buf[Vec::kMaxDim * Vec::kMaxDim];
+    for (int r = 0; r < dim; ++r) {
+      const double* row = r + 1 < dim ? facet[r + 1] : x;
+      for (int c = 0; c < dim; ++c) buf[r * dim + c] = row[c] - facet[0][c];
+    }
+    return det_inplace(buf, dim);
+  };
+  const double op = orient_facet(q);
+  const double ow = orient_facet(apex);
+  if (ow == 0.0) return false;
+  if (op == 0.0) return sphere_conflict(center, radius2, q, dim);
+  return (op > 0.0) != (ow > 0.0);
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// StarCertificate
+
+bool StarCertificate::conflicts(const Vec& q) const {
+  GDVR_ASSERT(q.dim() == dim_);
+  const double* x = q.coords().data();
+  const auto d = static_cast<std::size_t>(dim_);
+  const double* p = data_.data();
+  for (int i = 0; i < spheres_; ++i, p += d + 1)
+    if (sphere_conflict(p, p[d], x, dim_)) return true;
+  const double* facet[Vec::kMaxDim];
+  for (const double* end = data_.data() + data_.size(); p != end; p += d * d + 2 * d + 1) {
+    for (std::size_t k = 0; k < d; ++k) facet[k] = p + k * d;
+    const double* apex = p + d * d;
+    if (hull_conflict(facet, apex, apex + d, apex[2 * d], x, dim_)) return true;
+  }
+  return false;
+}
 
 // ---------------------------------------------------------------------------
 // FacetTable
@@ -193,50 +248,66 @@ bool Triangulation::init_complex() {
 
 bool Triangulation::in_conflict(const Cell& c, const Vec& p) const {
   const int inf = infinite_index(c);
-  if (inf < 0) {
-    // Cached circumsphere: one squared-distance comparison. Raw pointers:
-    // operator[] bounds-checks stay active in release builds by design, and
-    // this loop runs for every flood/walk step.
-    const double* pc = p.coords().data();
-    const double* cc = c.center.coords().data();
-    double d2 = 0.0;
-    for (int i = 0; i < dim_; ++i) {
-      const double diff = pc[i] - cc[i];
-      d2 += diff * diff;
-    }
-    return d2 < c.radius2;
-  }
-  // Infinite cell: conflict iff p lies strictly on the outer side of the
-  // hull facet F, or on F's hyperplane but inside the circumsphere of the
-  // adjacent finite cell.
-  std::array<Vec, kMaxVerts>& verts = vert_scratch_;
+  if (inf < 0) return sphere_conflict(c.center.coords().data(), c.radius2, p.coords().data(), dim_);
+  const int apex = hull_apex(c, inf);
+  if (apex < 0) return false;  // degenerate flat hull; retry path handles it
+  const double* facet[Vec::kMaxDim];
   int w = 0;
   for (int i = 0; i <= dim_; ++i)
     if (i != inf)
-      verts[static_cast<std::size_t>(w++)] =
-          pts_[static_cast<std::size_t>(c.v[static_cast<std::size_t>(i)])];
+      facet[w++] = pts_[static_cast<std::size_t>(c.v[static_cast<std::size_t>(i)])].coords().data();
   const Cell& fin = cells_[static_cast<std::size_t>(c.nbr[static_cast<std::size_t>(inf)])];
-  if (infinite_index(fin) >= 0) return false;  // degenerate flat hull; retry path handles it
-  // Find the vertex of `fin` that is not on the facet.
-  int apex = -1;
+  return hull_conflict(facet, pts_[static_cast<std::size_t>(apex)].coords().data(),
+                       fin.center.coords().data(), fin.radius2, p.coords().data(), dim_);
+}
+
+int Triangulation::hull_apex(const Cell& c, int inf) const {
+  const Cell& fin = cells_[static_cast<std::size_t>(c.nbr[static_cast<std::size_t>(inf)])];
+  if (infinite_index(fin) >= 0) return -1;
   for (int i = 0; i <= dim_; ++i) {
     const int fv = fin.v[static_cast<std::size_t>(i)];
     bool on_facet = false;
     for (int j = 0; j <= dim_; ++j)
       if (j != inf && c.v[static_cast<std::size_t>(j)] == fv) on_facet = true;
-    if (!on_facet) {
-      apex = fv;
-      break;
-    }
+    if (!on_facet) return fv;
   }
-  if (apex < 0) return false;
-  verts[static_cast<std::size_t>(dim_)] = p;
-  const double op = orient({verts.data(), static_cast<std::size_t>(dim_ + 1)});
-  verts[static_cast<std::size_t>(dim_)] = pts_[static_cast<std::size_t>(apex)];
-  const double ow = orient({verts.data(), static_cast<std::size_t>(dim_ + 1)});
-  if (ow == 0.0) return false;
-  if (op == 0.0) return p.distance2(fin.center) < fin.radius2;
-  return (op > 0.0) != (ow > 0.0);
+  return -1;
+}
+
+void Triangulation::certify(StarCertificate& cert) const {
+  cert.clear();
+  cert.dim_ = dim_;
+  // Sized exactly: every overlay node keeps one certificate.
+  const auto d = static_cast<std::size_t>(dim_);
+  std::size_t hulls = 0;
+  for (int ci : star_) hulls += infinite_index(cells_[static_cast<std::size_t>(ci)]) >= 0 ? 1 : 0;
+  cert.data_.reserve((star_.size() - hulls) * (d + 1) + hulls * (d * d + 2 * d + 1));
+  const auto append = [&cert](const Vec& x) {
+    cert.data_.insert(cert.data_.end(), x.coords().begin(), x.coords().end());
+  };
+  for (int ci : star_) {
+    const Cell& sc = cells_[static_cast<std::size_t>(ci)];
+    if (infinite_index(sc) >= 0) continue;
+    append(sc.center);
+    cert.data_.push_back(sc.radius2);
+    ++cert.spheres_;
+  }
+  for (int ci : star_) {
+    const Cell& sc = cells_[static_cast<std::size_t>(ci)];
+    const int inf = infinite_index(sc);
+    if (inf < 0) continue;
+    const int apex = hull_apex(sc, inf);
+    if (apex < 0) {  // no sound conflict region to certify
+      cert.clear();
+      return;
+    }
+    for (int i = 0; i <= dim_; ++i)
+      if (i != inf) append(pts_[static_cast<std::size_t>(sc.v[static_cast<std::size_t>(i)])]);
+    append(pts_[static_cast<std::size_t>(apex)]);
+    const Cell& fin = cells_[static_cast<std::size_t>(sc.nbr[static_cast<std::size_t>(inf)])];
+    append(fin.center);
+    cert.data_.push_back(fin.radius2);
+  }
 }
 
 bool Triangulation::cache_circumsphere(Cell& c) {
@@ -322,7 +393,6 @@ int Triangulation::locate_walk(const Vec& q) {
     prev = cur;
     cur = next;
   }
-  ++walk_fallbacks_;
   return -1;
 }
 
@@ -374,11 +444,13 @@ bool Triangulation::build(std::span<const Vec> points) {
   return true;
 }
 
-bool Triangulation::star_neighbors(std::span<const Vec> points, int center, std::vector<int>& out) {
+bool Triangulation::star_neighbors(std::span<const Vec> points, int center, std::vector<int>& out,
+                                   StarCertificate& cert) {
   // Shares build()'s site name: the profile report merges the two, so the
   // geom.delaunay_build row counts every local-DT computation.
   GDVR_PROFILE_SCOPE("geom.delaunay_build");
   out.clear();
+  cert.clear();
   GDVR_ASSERT(!points.empty());
   dim_ = points[0].dim();
   GDVR_ASSERT(dim_ >= 2 && dim_ <= Vec::kMaxDim);
@@ -452,6 +524,7 @@ bool Triangulation::star_neighbors(std::span<const Vec> points, int center, std:
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
+  certify(cert);
   return true;
 }
 

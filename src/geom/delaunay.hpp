@@ -59,6 +59,32 @@ struct DelaunayGraph {
 
 DelaunayGraph delaunay_graph(std::span<const Vec> points, const DelaunayOptions& opts = {});
 
+// The star a Triangulation::star_neighbors() call built, as the conflict
+// regions of its cells: a point would join the star when inserted exactly
+// when it conflicts with one of them. Flat doubles, no Vec per vertex:
+// LocalDelaunay keeps one per overlay node to skip rebuilds that no changed
+// point can touch (DESIGN.md §4h).
+class StarCertificate {
+ public:
+  // Whether q conflicts with a certified cell, under the predicates
+  // Triangulation::in_conflict applies to the same cells.
+  bool conflicts(const Vec& q) const;
+  bool empty() const { return data_.empty(); }
+  void clear() {
+    data_.clear();
+    spheres_ = 0;
+  }
+
+ private:
+  friend class Triangulation;
+  int dim_ = 0;
+  int spheres_ = 0;  // finite cells, stored first
+  // Per finite cell: circumcenter (dim), radius^2. Then per infinite cell:
+  // its hull facet's dim vertices (in cell order), and the adjacent finite
+  // cell's apex off that facet, circumcenter and radius^2.
+  std::vector<double> data_;
+};
+
 // Exposed for tests and benchmarks: the full cell complex.
 class Triangulation {
  public:
@@ -93,8 +119,6 @@ class Triangulation {
   // hull-visibility region contains q -- the seed of the Bowyer-Watson
   // cavity. Returns -1 if no cell is in conflict.
   int locate_conflict(const Vec& q);
-  // How many walks gave up and fell back to the linear scan (diagnostics).
-  std::uint64_t walk_fallbacks() const { return walk_fallbacks_; }
 
   int dim() const { return dim_; }
   // After build(), the whole complex. After star_neighbors(), only the
@@ -117,9 +141,11 @@ class Triangulation {
   // approximation: a point outside every star cell never changes the star
   // when inserted, and the region where a new point would join the star
   // only shrinks as points are added, so every skipped point stays
-  // irrelevant. Returns false when the input is degenerate or an insertion
-  // failed (caller should retry or fall back).
-  bool star_neighbors(std::span<const Vec> points, int center, std::vector<int>& out);
+  // irrelevant. Also fills `cert` with the star's cells, or leaves it empty
+  // when a hull cell borders a flat one. Returns false when the input is
+  // degenerate or an insertion failed (caller should retry or fall back).
+  bool star_neighbors(std::span<const Vec> points, int center, std::vector<int>& out,
+                      StarCertificate& cert);
 
   // Validation helper for tests, after build(): true iff no jittered input
   // point lies strictly inside the circumsphere of any alive finite cell
@@ -172,6 +198,12 @@ class Triangulation {
   static constexpr int kNoCenter = -2;
   bool insert(int p, int seed, int center);
   bool in_conflict(const Cell& c, const Vec& p) const;
+  // For the infinite cell c (infinite vertex at index inf): the vertex of the
+  // finite cell across its hull facet that is off the facet; -1 when that
+  // neighbor is infinite too (a degenerate flat hull).
+  int hull_apex(const Cell& c, int inf) const;
+  // The star_ cells' conflict regions, for star_neighbors().
+  void certify(StarCertificate& cert) const;
   bool cache_circumsphere(Cell& c);
   int infinite_index(const Cell& c) const;
   bool has_vertex(const Cell& c, int v) const;
@@ -194,12 +226,7 @@ class Triangulation {
   // to the live complex instead of growing monotonically with inserts.
   std::vector<int> free_cells_;
   int hint_ = -1;  // last created cell: the walk's starting point
-  std::uint64_t walk_fallbacks_ = 0;
-  // Scratch reused across inserts (conflict marks, BFS queue, created list,
-  // predicate vertex buffer -- Vec default-construction zeroes kMaxDim
-  // coordinates, so a fresh array per in_conflict call costs more than the
-  // conflict test itself).
-  mutable std::array<Vec, kMaxVerts> vert_scratch_;
+  // Scratch reused across inserts (conflict marks, BFS queue, created list).
   std::vector<std::uint64_t> mark_;
   std::uint64_t mark_epoch_ = 0;
   std::vector<int> conflict_;

@@ -58,21 +58,38 @@ Vec LocalDelaunay::jittered(Key key, const Vec& pos, int level) const {
 
 bool LocalDelaunay::update(Key center, std::span<const std::pair<Key, Vec>> points) {
   GDVR_ASSERT(!points.empty());
+  const int dim = points[0].second.dim();
+  // Whether the certified star is still u's star (DESIGN.md §4h): a removed
+  // or moved key must be neither u nor in N_u, and a new position must
+  // conflict with no certified cell.
+  bool certified = !cert_.empty() && center == center_ && points_[0].second.dim() == dim &&
+                   points.size() >= static_cast<std::size_t>(dim + 2);
+  const auto in_star = [&](Key k) {
+    return k == center || std::binary_search(nbrs_.begin(), nbrs_.end(), k);
+  };
+  const auto conflicts = [&](const std::pair<Key, Vec>& e) {
+    return cert_.conflicts(jittered(e.first, e.second, 0));
+  };
   // Two-pointer key diff of the input against the previous one.
   std::uint64_t inserts = 0, removes = 0, moves = 0;
   std::size_t ni = 0;
   for (auto old = points_.begin(); old != points_.end() || ni < points.size();) {
     if (ni == points.size() || (old != points_.end() && old->first < points[ni].first)) {
       ++removes;
+      certified = certified && !in_star(old->first);
       ++old;
       continue;
     }
     GDVR_ASSERT(ni == 0 || points[ni - 1].first < points[ni].first);
-    GDVR_ASSERT(points[ni].second.dim() == points[0].second.dim());
+    GDVR_ASSERT(points[ni].second.dim() == dim);
     if (old == points_.end() || points[ni].first < old->first) {
       ++inserts;
+      certified = certified && !conflicts(points[ni]);
     } else {
-      if (!(old->second == points[ni].second)) ++moves;
+      if (!(old->second == points[ni].second)) {
+        ++moves;
+        certified = certified && !in_star(old->first) && !conflicts(points[ni]);
+      }
       ++old;
     }
     ++ni;
@@ -83,7 +100,10 @@ bool LocalDelaunay::update(Key center, std::span<const std::pair<Key, Vec>> poin
   stats_.moves += moves;
   center_ = center;
   points_.assign(points.begin(), points.end());
-  recompute();
+  if (certified)
+    stats_.move_early_outs += moves;
+  else
+    recompute();
   return true;
 }
 
@@ -102,8 +122,12 @@ void LocalDelaunay::recompute() {
     for (int lv = 0; lv < std::max(1, opts_.max_attempts); ++lv) {
       s.pts.clear();
       for (const auto& [k, p] : points_) s.pts.push_back(jittered(k, p, lv));
-      if (s.tri.star_neighbors(s.pts, static_cast<int>(self - points_.begin()), s.nbrs)) {
-        if (lv > 0) ++stats_.full_rebuilds;
+      if (s.tri.star_neighbors(s.pts, static_cast<int>(self - points_.begin()), s.nbrs, cert_)) {
+        if (lv > 0) {
+          // The next update jitters changed points at level 0 only.
+          cert_.clear();
+          ++stats_.full_rebuilds;
+        }
         // Indices follow the key-sorted input, so the keys come out sorted.
         for (int i : s.nbrs) nbrs_.push_back(points_[static_cast<std::size_t>(i)].first);
         return;
@@ -114,6 +138,7 @@ void LocalDelaunay::recompute() {
         dim);
     ++stats_.full_rebuilds;
   }
+  cert_.clear();
   for (const auto& [k, p] : points_)
     if (k != center_) nbrs_.push_back(k);
 }

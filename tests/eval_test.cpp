@@ -150,17 +150,21 @@ TEST(Runner, ExportsIncrementalDtCounters) {
   vpod::VpodConfig vc;
   vc.dim = 3;
   VpodRunner runner(topo, false, vc);
-  runner.run_to_period(2);
+  runner.run_to_period(8);
   obs::Registry reg;
   runner.export_metrics(reg);
-  // Construction on a 50-node topology must have exercised the incremental
-  // path: every node's first recompute assigns, later ones insert/remove as
-  // candidates churn. Early-outs/full rebuilds may legitimately be zero.
+  // Construction on a 50-node topology exercises the key diff: every node's
+  // first recompute inserts, later ones insert/remove as candidates churn.
+  // Once VPoD's adjustments settle, a candidate that moves without touching
+  // a node's Delaunay star is kept by the star certificate, with no
+  // rebuild. Full rebuilds may legitimately be zero.
   EXPECT_GT(reg.counter("mdt.dt.inserts").value(), 0u);
   EXPECT_GT(reg.counter("mdt.dt.removes").value(), 0u);
+  EXPECT_GT(reg.counter("mdt.dt.move_early_outs").value(), 0u);
   const auto dt = runner.protocol().overlay().dt_stats();
   EXPECT_EQ(reg.counter("mdt.dt.inserts").value(), dt.inserts);
   EXPECT_EQ(reg.counter("mdt.dt.moves").value(), dt.moves);
+  EXPECT_EQ(reg.counter("mdt.dt.move_early_outs").value(), dt.move_early_outs);
   EXPECT_EQ(reg.counter("mdt.dt.full_rebuilds").value(), dt.full_rebuilds);
   EXPECT_EQ(reg.counter("mdt.dt.walk_fallbacks").value(), dt.walk_fallbacks);
 }

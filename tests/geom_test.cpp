@@ -477,8 +477,9 @@ void expect_stars_match_graph(std::span<const Vec> pts, const std::string& where
   ASSERT_FALSE(g.complete_graph_fallback) << where;
   Triangulation tri;
   std::vector<int> nbrs;
+  StarCertificate cert;
   for (int c = 0; c < static_cast<int>(pts.size()); ++c) {
-    ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs)) << where << " center=" << c;
+    ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs, cert)) << where << " center=" << c;
     EXPECT_EQ(nbrs, g.nbrs[static_cast<std::size_t>(c)]) << where << " center=" << c;
   }
 }
@@ -531,8 +532,9 @@ TEST(LocalDelaunayStar, KeepsOnlyTheStar) {
     for (const auto& [name, pts] : sets) {
       Triangulation tri;
       std::vector<int> nbrs;
+      StarCertificate cert;
       for (int c = 0; c < static_cast<int>(pts.size()); ++c) {
-        ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs));
+        ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs, cert));
         int off_star = 0;
         for (const Triangulation::Cell& cell : tri.cells()) {
           const auto end = cell.v.begin() + dim + 1;
@@ -603,15 +605,68 @@ TEST(LocalDelaunayStar, SmallSetsAreCompleteGraphs) {
     const auto pts = random_points(dim + 1, dim, 13100u + static_cast<std::uint64_t>(dim));
     Triangulation tri;
     std::vector<int> nbrs;
+    StarCertificate cert;
     for (int c = 0; c <= dim; ++c) {
-      ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs));
+      ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs, cert));
       std::vector<int> want;
       for (int j = 0; j <= dim; ++j)
         if (j != c) want.push_back(j);
       EXPECT_EQ(nbrs, want) << "dim=" << dim << " center=" << c;
     }
     const std::vector<Vec> too_few(pts.begin(), pts.end() - 1);
-    EXPECT_FALSE(tri.star_neighbors(too_few, 0, nbrs)) << "dim=" << dim;
+    EXPECT_FALSE(tri.star_neighbors(too_few, 0, nbrs, cert)) << "dim=" << dim;
+    EXPECT_TRUE(cert.empty()) << "dim=" << dim;
+  }
+}
+
+TEST(LocalDelaunayStar, CertificateConflictsExactlyWhenQueryJoinsStar) {
+  // The certificate of a center's star flags a query point exactly when
+  // inserting it makes it the center's neighbor. Queries fall next to the
+  // center, across the set and far beyond it, so both outcomes occur for
+  // closed stars and for open ones (hull centers, whose infinite cells
+  // certify hull facets).
+  for (int dim = 2; dim <= 4; ++dim) {
+    const std::vector<std::pair<std::string, std::vector<Vec>>> sets = {
+        {"random", random_points(30, dim, 13400u + static_cast<std::uint64_t>(dim))},
+        {"hull", hull_center_points(dim)}};
+    for (const auto& [name, pts] : sets) {
+      SCOPED_TRACE(::testing::Message() << name << " dim=" << dim);
+      Rng rng(13500u + static_cast<std::uint64_t>(dim));
+      const int n = static_cast<int>(pts.size());
+      Triangulation tri;
+      std::vector<int> nbrs;
+      StarCertificate cert, with_q_cert;
+      std::vector<Vec> with_q = pts;
+      with_q.emplace_back(dim);
+      // [open star][joined]
+      int outcomes[2][2] = {{0, 0}, {0, 0}};
+      for (int c = 0; c < n; ++c) {
+        ASSERT_TRUE(tri.star_neighbors(pts, c, nbrs, cert)) << "center=" << c;
+        ASSERT_FALSE(cert.empty()) << "center=" << c;
+        bool open = false;
+        for (const Triangulation::Cell& cell : tri.cells()) {
+          const auto end = cell.v.begin() + dim + 1;
+          open = open || (cell.alive && std::find(cell.v.begin(), end, c) != end &&
+                          std::find(cell.v.begin(), end, Triangulation::kInfinite) != end);
+        }
+        for (int k = 0; k < 12; ++k) {
+          const double spread = k % 3 == 0 ? 0.05 : (k % 3 == 1 ? 0.5 : 4.0);
+          Vec& q = with_q.back();
+          for (int i = 0; i < dim; ++i)
+            q[i] = pts[static_cast<std::size_t>(c)][i] + rng.uniform(-spread, spread);
+          ASSERT_TRUE(tri.star_neighbors(with_q, c, nbrs, with_q_cert)) << "center=" << c;
+          const bool joined = std::binary_search(nbrs.begin(), nbrs.end(), n);
+          EXPECT_EQ(cert.conflicts(q), joined) << "center=" << c << " query " << k;
+          ++outcomes[open][joined];
+        }
+      }
+      EXPECT_GT(outcomes[0][0], 0);
+      EXPECT_GT(outcomes[0][1], 0);
+      if (name == "hull") {
+        EXPECT_GT(outcomes[1][0], 0);
+        EXPECT_GT(outcomes[1][1], 0);
+      }
+    }
   }
 }
 
@@ -642,8 +697,10 @@ TEST(LocalDelaunay, OverlayInputSequence) {
   // The input sequence MdtOverlay::recompute produces for one node: a core
   // of long-lived points (physical neighbors), a fringe of candidates that
   // comes and goes, positions nudged each adjustment period. Checks N_u
-  // against the oracle, the unchanged-input early-out and the diff counters
-  // after every step, for both locate modes.
+  // against a fresh LocalDelaunay on the same input and against the oracle,
+  // the unchanged-input early-out and the diff counters after every step,
+  // for both locate modes. Moves off the star are kept by the certificate
+  // (move_early_outs); moves of star vertices and of the center rebuild.
   const auto counters = [](const DynamicDtStats& s) {
     return std::make_tuple(s.inserts, s.removes, s.moves, s.move_early_outs, s.full_rebuilds,
                            s.walk_fallbacks);
@@ -651,7 +708,7 @@ TEST(LocalDelaunay, OverlayInputSequence) {
   for (const bool linear_scan : {false, true}) {
     DelaunayOptions opts;
     opts.force_linear_scan = linear_scan;
-    for (int dim : {2, 3}) {
+    for (int dim : {2, 3, 4}) {
       SCOPED_TRACE(::testing::Message() << (linear_scan ? "linear" : "walk") << " dim=" << dim);
       Rng rng(0x5747u + static_cast<std::uint64_t>(dim));
       LocalDelaunay local(opts);
@@ -677,8 +734,11 @@ TEST(LocalDelaunay, OverlayInputSequence) {
         for (const auto& [k, p] : prev)
           if (!set.count(k)) ++rem;
         const DynamicDtStats before = local.stats();
-        const bool changed =
-            local.update(center, std::vector<std::pair<Key, Vec>>(set.begin(), set.end()));
+        const std::vector<std::pair<Key, Vec>> input(set.begin(), set.end());
+        const bool changed = local.update(center, input);
+        LocalDelaunay fresh(opts);
+        fresh.update(center, input);
+        EXPECT_EQ(local.neighbors(), fresh.neighbors()) << where;
         EXPECT_EQ(changed, ins + rem + mov > 0) << where;
         EXPECT_EQ(local.stats().inserts, before.inserts + ins) << where;
         EXPECT_EQ(local.stats().removes, before.removes + rem) << where;
@@ -710,6 +770,44 @@ TEST(LocalDelaunay, OverlayInputSequence) {
         for (const auto& [k, p] : fringe) set.erase(k);
         EXPECT_TRUE(update("fringe pruned"));
       }
+
+      // Points learned and pruned right next to the center, where they join
+      // its star; then moves of points off the star, of a star vertex and of
+      // the center.
+      const auto nudge = [&](Key k) {
+        for (int c = 0; c < dim; ++c) set[k][c] += rng.uniform(-0.01, 0.01);
+      };
+      for (int round = 0; round < 3; ++round) {
+        for (Key k = 120; k < 122; ++k) {
+          Vec p = set[center];
+          for (int c = 0; c < dim; ++c) p[c] += rng.uniform(-0.03, 0.03);
+          set.emplace(k, p);
+        }
+        EXPECT_TRUE(update("near fringe learned"));
+        set.erase(120);
+        set.erase(121);
+        EXPECT_TRUE(update("near fringe pruned"));
+        const std::vector<Key> star = local.neighbors();
+        std::vector<Key> off_star;
+        for (const auto& [k, p] : set)
+          if (k != center && !std::binary_search(star.begin(), star.end(), k))
+            off_star.push_back(k);
+        ASSERT_FALSE(off_star.empty());
+        const auto pick = [&](const std::vector<Key>& keys) {
+          return keys[static_cast<std::size_t>(rng.uniform_index(static_cast<int>(keys.size())))];
+        };
+        for (int i = 0; i < 4; ++i) {
+          nudge(pick(off_star));
+          EXPECT_TRUE(update("off-star move"));
+        }
+        const std::uint64_t kept = local.stats().move_early_outs;
+        nudge(pick(star));
+        EXPECT_TRUE(update("star vertex move"));
+        nudge(center);
+        EXPECT_TRUE(update("center move"));
+        EXPECT_EQ(local.stats().move_early_outs, kept) << "a star move was not rebuilt";
+      }
+      EXPECT_GT(local.stats().move_early_outs, 0u);
 
       // Sparse and mass nudges, the center's own position included.
       for (int round = 0; round < 4; ++round) {
