@@ -37,6 +37,12 @@
 #                                    # (overlapping ranges, one wild round) can
 #                                    # be told from a shift of the whole range.
 #                                    # Rows present on one side only are listed.
+#                                    # It also builds both sides' gdv_sim and
+#                                    # runs `--periods 3 --pairs 200 --seed 3`
+#                                    # at --nodes 200 and 400 twice on each,
+#                                    # printing whether stdout is byte-identical
+#                                    # and every wall time (informational: it
+#                                    # never changes the exit status).
 #                                    # `--compare-rev HEAD` measures the working
 #                                    # tree against its last commit; no JSON
 #                                    # rewrite.
@@ -102,7 +108,8 @@ if [[ -n "$COMPARE_REV" ]]; then
   # run, so the base build starts from scratch.
   rm -rf build-rel-base
   cmake -S "$BASE_SRC" -B build-rel-base -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-rel-base -j "$JOBS" --target micro_core
+  cmake --build build-rel-base -j "$JOBS" --target micro_core gdv_sim
+  cmake --build build-rel -j "$JOBS" --target gdv_sim
   # Rounds and per-row time: 3 rounds at 0.05 s let host drift of up to
   # 1.8x on one side flag a rotating set of untouched small kernels at
   # 1.3-1.4x; the median of 8 rounds at 0.2 s holds identical code within
@@ -120,6 +127,23 @@ if [[ -n "$COMPARE_REV" ]]; then
       "$bin" "${ROW_ARGS[@]}" --benchmark_out="$RUNS/$side-$round.json" \
           --benchmark_out_format=json >/dev/null
     done
+  done
+  # End to end, informational: does the change keep gdv_sim's output byte
+  # for byte, and what does each side take? Two runs per side and N, in
+  # the order base, change, change, base so that a drift in host load
+  # lands on both; the wall times are a hint, not a verdict.
+  for nodes in 200 400; do
+    declare -A walls=([base]="" [change]="")
+    for side in base change change base; do
+      [[ "$side" == base ]] && bin=./build-rel-base/examples/gdv_sim || bin=./build-rel/examples/gdv_sim
+      start="$(date +%s.%N)"
+      "$bin" --nodes "$nodes" --periods 3 --pairs 200 --seed 3 >"$RUNS/gdv_sim-$side-$nodes.txt"
+      walls[$side]+="$(awk -v a="$start" -v b="$(date +%s.%N)" 'BEGIN { printf " %.2f", b - a }')"
+    done
+    cmp -s "$RUNS/gdv_sim-base-$nodes.txt" "$RUNS/gdv_sim-change-$nodes.txt" &&
+      same="byte-identical" || same="DIFFERENT"
+    echo "gdv_sim --nodes $nodes --periods 3 --pairs 200 --seed 3: stdout $same;" \
+         "wall (s) ${COMPARE_REV:0:12}${walls[base]}, this tree${walls[change]}"
   done
   warn_debug_lib "$RUNS/change-1.json"
   python3 - "$RUNS" "$COMPARE_REV" "${GDVR_BENCH_TOLERANCE:-0.25}" <<'EOF'

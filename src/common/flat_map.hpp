@@ -14,9 +14,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "common/assert.hpp"
 
 namespace gdvr {
 
@@ -63,6 +67,32 @@ class FlatMap {
     return {items_.emplace(it, key, std::move(value)), true};
   }
 
+  // Moves the entries of `batch`, whose keys must be strictly ascending and
+  // absent from the map, into it in one backward pass: every entry moves at
+  // most once, where one emplace per key would shift the tail once per key.
+  void insert_sorted(std::span<value_type> batch) {
+    if (batch.empty()) return;
+    const std::size_t old_size = items_.size();
+    // Grow by doubling, as one emplace per key would, so a batch leaves the
+    // same capacity, and the same heap footprint, as the inserts it replaces.
+    std::size_t capacity = std::max<std::size_t>(items_.capacity(), 1);
+    while (capacity < old_size + batch.size()) capacity *= 2;
+    items_.reserve(capacity);
+    items_.resize(old_size + batch.size());
+    auto old = items_.begin() + static_cast<std::ptrdiff_t>(old_size);
+    auto out = items_.end();
+    for (auto in = batch.end(); in != batch.begin();) {
+      --in;
+      GDVR_ASSERT_MSG(in == batch.begin() || std::prev(in)->first < in->first,
+                      "FlatMap::insert_sorted: batch keys not strictly ascending");
+      while (old != items_.begin() && in->first < std::prev(old)->first)
+        *--out = std::move(*--old);
+      GDVR_ASSERT_MSG(old == items_.begin() || std::prev(old)->first < in->first,
+                      "FlatMap::insert_sorted: batch key already present");
+      *--out = std::move(*in);
+    }
+  }
+
   iterator erase(const_iterator pos) { return items_.erase(pos); }
   std::size_t erase(const K& key) {
     const auto it = find(key);
@@ -71,11 +101,20 @@ class FlatMap {
     return 1;
   }
 
-  // Removes every entry for which pred(entry) holds, in one pass (pred runs
-  // once per entry). Returns the number removed.
+  // Removes every entry for which pred(entry) holds, in one pass: pred runs
+  // exactly once per entry, in ascending key order, so it may walk cursors
+  // over other key-sorted tables alongside. Returns the number removed.
   template <typename Pred>
   friend std::size_t erase_if(FlatMap& m, Pred pred) {
-    return std::erase_if(m.items_, pred);
+    auto out = m.items_.begin();
+    for (auto it = m.items_.begin(); it != m.items_.end(); ++it) {
+      if (pred(std::as_const(*it))) continue;
+      if (out != it) *out = std::move(*it);
+      ++out;
+    }
+    const auto removed = static_cast<std::size_t>(m.items_.end() - out);
+    m.items_.erase(out, m.items_.end());
+    return removed;
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/log.hpp"
 #include "geom/delaunay.hpp"
@@ -62,6 +63,30 @@ bool fresher(const NodeInfo& heard, std::uint32_t incarnation, std::uint64_t pos
 std::vector<std::pair<geom::LocalDelaunay::Key, Vec>>& dt_input_scratch() {
   thread_local std::vector<std::pair<geom::LocalDelaunay::Key, Vec>> in;
   return in;
+}
+
+// New C_u records gathered by one id-ordered walk for FlatMap::insert_sorted;
+// per thread for the same reason, and empty between walks.
+template <typename Record>
+std::vector<std::pair<NodeId, Record>>& record_batch_scratch() {
+  thread_local std::vector<std::pair<NodeId, Record>> batch;
+  return batch;
+}
+
+NodeId key_of(NodeId id) { return id; }
+template <typename T>
+NodeId key_of(const std::pair<NodeId, T>& entry) {
+  return entry.first;
+}
+
+// Advances `it`, a cursor into an id-sorted range, to the first entry not
+// below `id` and says whether that entry is `id`. Fed ascending ids, a cursor
+// walks its range once: every merge walk below uses it in place of a binary
+// search per id.
+template <typename It>
+bool seek(It& it, It end, NodeId id) {
+  while (it != end && key_of(*it) < id) ++it;
+  return it != end && key_of(*it) == id;
 }
 
 }  // namespace
@@ -246,10 +271,7 @@ void MdtOverlay::force_resync(NodeId u) {
     start_join(u);
     return;
   }
-  for (NodeId y : s.dt_nbrs()) {
-    auto it = s.cand.find(y);
-    if (it != s.cand.end()) it->second.synced = false;
-  }
+  unsync_dt_neighbors(u, -1);
   schedule_recompute(u);
 }
 
@@ -499,7 +521,7 @@ void MdtOverlay::on_reply(NodeId u, const Envelope& msg) {
   // The replier becomes a synced candidate with known cost and path.
   Candidate& replier = learn_synced(u, msg.origin_info, msg.accum_cost);
   replier.path.assign(msg.route.rbegin(), msg.route.rend());
-  for (const NodeInfo& info : msg.nbr_infos) merge_candidate_info(u, info, msg.origin);
+  merge_neighbor_set(u, msg.nbr_infos, msg.origin);
   schedule_recompute(u);
 }
 
@@ -618,6 +640,7 @@ int MdtOverlay::send_to_neighbors(NodeId u, Kind kind, bool include_phys) {
 }
 
 void MdtOverlay::note_relay(NodeId u, NodeId a, NodeId b, NodeId pred, NodeId succ) {
+  GDVR_PROFILE_SCOPE("mdt.note_relay");
   NodeState& s = st(u);
   RelayEntry& e = s.relay[norm_pair(a, b)];
   e.pred = pred;
@@ -632,18 +655,18 @@ std::vector<NodeInfo> MdtOverlay::neighbor_infos(NodeId u) const {
   const NodeState& s = st(u);
   std::vector<NodeInfo> infos;
   infos.reserve(s.phys.size() + s.dt_nbrs().size());
-  for (const auto& [id, info] : s.phys) infos.push_back(info);
-  // P_u and N_u are both id-sorted: one merge walk skips the DT neighbors
-  // already sent as physical ones (the for_each_neighbor idiom).
+  // P_u, N_u and C_u are all id-sorted: one merge walk emits P_u and, between
+  // its members, each DT neighbor outside it that has a C_u record.
   auto phys = s.phys.begin();
+  auto c = s.cand.begin();
   for (NodeId y : s.dt_nbrs()) {
-    while (phys != s.phys.end() && phys->first < y) ++phys;
+    for (; phys != s.phys.end() && phys->first < y; ++phys) infos.push_back(phys->second);
     if (phys != s.phys.end() && phys->first == y) continue;
-    const auto it = s.cand.find(y);
-    if (it == s.cand.end()) continue;
-    infos.push_back(NodeInfo{y, it->second.pos, it->second.err, /*joined=*/true,
-                             it->second.pos_version, it->second.incarnation});
+    if (!seek(c, s.cand.end(), y)) continue;
+    infos.push_back(NodeInfo{y, c->second.pos, c->second.err, /*joined=*/true,
+                             c->second.pos_version, c->second.incarnation});
   }
+  for (; phys != s.phys.end(); ++phys) infos.push_back(phys->second);
   return infos;
 }
 
@@ -662,7 +685,7 @@ void MdtOverlay::reply_with_neighbor_set(NodeId u, const Envelope& request, Kind
   std::vector<NodeId> route = path;
   // Mutual exchange: a neighbor-set request carries the requester's neighbor
   // set (empty for join requests).
-  for (const NodeInfo& info : request.nbr_infos) merge_candidate_info(u, info, request.origin);
+  merge_neighbor_set(u, request.nbr_infos, request.origin);
   schedule_recompute(u);
 
   if (route.size() < 2) return;
@@ -675,35 +698,51 @@ void MdtOverlay::reply_with_neighbor_set(NodeId u, const Envelope& request, Kind
   (void)send_routed(u, std::move(r), std::move(route));
 }
 
-void MdtOverlay::merge_candidate_info(NodeId u, const NodeInfo& info, NodeId via) {
+void MdtOverlay::merge_neighbor_set(NodeId u, const std::vector<NodeInfo>& infos, NodeId via) {
+  GDVR_PROFILE_SCOPE("mdt.merge_neighbor_set");
   NodeState& s = st(u);
-  if (info.id == u || info.id < 0) return;
-  // Tombstone: this node was evicted as dead, and only *direct* contact (or
-  // word of a strictly newer incarnation, i.e. it genuinely rebooted since)
-  // may bring it back. Second-hand gossip at the evicted incarnation is the
-  // resurrection channel the tombstone exists to block.
-  auto tomb = s.tombstones.find(info.id);
-  if (tomb != s.tombstones.end()) {
-    if (info.incarnation <= tomb->second.incarnation) {
-      ++fd_at(u).gossip_suppressed;
-      return;
+  const sim::Time now = net_.simulator().now();
+  // The payload, C_u and the tombstones are all id-sorted, so one cursor per
+  // table walks each once. The payload's ids are distinct and each touches
+  // only its own records, so the fold does not depend on their order.
+  auto& added = record_batch_scratch<Candidate>();
+  auto c = s.cand.begin();
+  auto tomb = s.tombstones.begin();
+  for (auto info = infos.begin(); info != infos.end(); ++info) {
+    GDVR_ASSERT_MSG(info == infos.begin() || std::prev(info)->id < info->id,
+                    "neighbor-set payload not strictly id-ascending");
+    if (info->id == u || info->id < 0) continue;
+    // Tombstone: this node was evicted as dead, and only *direct* contact
+    // (or word of a strictly newer incarnation, i.e. it genuinely rebooted
+    // since) may bring it back. Second-hand gossip at the evicted
+    // incarnation is the resurrection channel the tombstone exists to block.
+    if (seek(tomb, s.tombstones.end(), info->id)) {
+      if (info->incarnation <= tomb->second.incarnation) {
+        ++fd_at(u).gossip_suppressed;
+        continue;
+      }
+      tomb = s.tombstones.erase(tomb);
     }
-    s.tombstones.erase(tomb);
+    if (seek(c, s.cand.end(), info->id)) {
+      // Gossip refreshes a record only when strictly fresher -- a peer's
+      // snapshot of a node we also hear from directly is usually older, and
+      // overwriting fresher state with it measurably perturbs the local DT.
+      // When the direct channel lost an update, though, newer gossip repairs
+      // the staleness.
+      c->second.hear(*info, /*first_hand=*/false);
+      if (!c->second.synced) c->second.via = via;
+      continue;
+    }
+    // A new record has nothing to keep and takes the copy whole. Only it
+    // starts its clock: gossip is not evidence of liveness, and letting it
+    // count would keep dead nodes alive epidemically after churn.
+    Candidate& fresh = added.emplace_back(info->id, Candidate{}).second;
+    fresh.hear(*info, /*first_hand=*/true);
+    fresh.via = via;
+    fresh.last_heard = now;
   }
-  const auto found = s.cand.find(info.id);
-  const bool added = found == s.cand.end();
-  Candidate& c = added ? s.cand[info.id] : found->second;
-  // Gossip refreshes a record only when strictly fresher -- a peer's
-  // snapshot of a node we also hear from directly is usually older, and
-  // overwriting fresher state with it measurably perturbs the local DT. When
-  // the direct channel lost an update, though, newer gossip repairs the
-  // staleness. A new record has nothing to keep and takes the copy whole.
-  c.hear(info, /*first_hand=*/added);
-  if (!c.synced && via >= 0) c.via = via;
-  // Only a new record starts its clock: gossip is not evidence of liveness,
-  // and letting it count would keep dead nodes alive epidemically after
-  // churn.
-  if (added) c.last_heard = net_.simulator().now();
+  s.cand.insert_sorted(added);
+  added.clear();
 }
 
 void MdtOverlay::mark_joined(NodeId u) {
@@ -823,34 +862,39 @@ void MdtOverlay::resend_nbr_request(NodeId u, NodeId y) {
 
 void MdtOverlay::restart_pair_syncs(NodeId u) {
   // Per paper, every DT-neighbor pair exchanges a Neighbor-Set Request and
-  // Reply each round; the smaller id initiates to keep it to two messages.
-  NodeState& s = st(u);
-  for (NodeId y : s.dt_nbrs()) {
-    if (y <= u) continue;  // the larger id answers the smaller one's request
-    auto it = s.cand.find(y);
-    if (it != s.cand.end()) it->second.synced = false;
-  }
+  // Reply each round; the smaller id initiates to keep it to two messages,
+  // so the larger id answers the smaller one's request.
+  unsync_dt_neighbors(u, u);
   schedule_recompute(u);
+}
+
+void MdtOverlay::unsync_dt_neighbors(NodeId u, NodeId floor) {
+  NodeState& s = st(u);
+  const std::vector<NodeId>& dt_nbrs = s.dt_nbrs();
+  auto c = s.cand.begin();
+  for (auto y = std::upper_bound(dt_nbrs.begin(), dt_nbrs.end(), floor); y != dt_nbrs.end(); ++y)
+    if (seek(c, s.cand.end(), *y)) c->second.synced = false;
 }
 
 void MdtOverlay::sync_missing_neighbors(NodeId u) {
   NodeState& s = st(u);
+  // One cursor walk over C_u finds each DT neighbor's record. A request only
+  // adds to `pending` (send_nbr_request skips an exchange already in
+  // flight), never to C_u, so the cursor stays valid across the sends.
+  bool all_synced = !s.dt_nbrs().empty();
+  auto c = s.cand.begin();
   for (NodeId y : s.dt_nbrs()) {
-    auto it = s.cand.find(y);
-    if (it == s.cand.end()) continue;
-    if (!it->second.synced && !s.pending.count(y)) send_nbr_request(u, y);
+    if (!seek(c, s.cand.end(), y)) {
+      all_synced = false;
+    } else if (!c->second.synced) {
+      all_synced = false;
+      send_nbr_request(u, y);
+    }
   }
   // Join completes once the node has been served by a DT member and has
   // recomputed its neighbor set (further syncs refine it), or when every DT
   // neighbor is already synced.
-  if (!s.joined) {
-    bool all = !s.dt_nbrs().empty();
-    for (NodeId y : s.dt_nbrs()) {
-      auto it = s.cand.find(y);
-      if (it == s.cand.end() || !it->second.synced) all = false;
-    }
-    if (all || (s.got_join_reply && !s.dt_nbrs().empty())) mark_joined(u);
-  }
+  if (!s.joined && (all_synced || (s.got_join_reply && !s.dt_nbrs().empty()))) mark_joined(u);
 }
 
 void MdtOverlay::schedule_recompute(NodeId u) {
@@ -890,29 +934,38 @@ void MdtOverlay::recompute(NodeId u) {
 
   // Candidate pruning (soft state): keep DT neighbors, physical neighbors,
   // nodes with an exchange in flight, and freshly learned nodes that have
-  // not yet been through a recompute.
+  // not yet been through a recompute. erase_if visits C_u in id order, so
+  // one cursor per id-sorted table replaces a lookup per record.
   const sim::Time now = net_.simulator().now();
+  auto dt = dt_nbrs.begin();
+  auto phys = s.phys.begin();
+  auto pending = s.pending.begin();
   erase_if(s.cand, [&](const auto& e) {
     const NodeId id = e.first;
-    const bool keep = std::binary_search(dt_nbrs.begin(), dt_nbrs.end(), id) ||
-                      s.phys.count(id) || s.pending.count(id) ||
+    const bool keep = seek(dt, dt_nbrs.end(), id) || seek(phys, s.phys.end(), id) ||
+                      seek(pending, s.pending.end(), id) ||
                       now - e.second.last_heard <= kCandidateFreshS;
     if (!keep) s.fd.erase(id);
     return !keep;
   });
 
   // Ensure every DT neighbor has a candidate record (physical neighbors may
-  // not have one yet: give them their trivial one-hop path and link cost).
+  // not have one yet: give them their trivial one-hop path and link cost),
+  // gathered by one walk over N_u, P_u and C_u and inserted at once.
+  auto& added = record_batch_scratch<Candidate>();
+  phys = s.phys.begin();
+  c = s.cand.begin();
   for (NodeId y : dt_nbrs) {
-    const auto pit = s.phys.find(y);
-    if (pit == s.phys.end() || s.cand.count(y)) continue;
-    Candidate& c = s.cand[y];
-    c.hear(pit->second, /*first_hand=*/true);
-    c.cost = net_.link_cost(u, y);
-    c.path = {u, y};
-    c.last_heard = now;
-    c.synced = true;  // link-layer exchange suffices for physical neighbors
+    if (!seek(phys, s.phys.end(), y) || seek(c, s.cand.end(), y)) continue;
+    Candidate& rec = added.emplace_back(y, Candidate{}).second;
+    rec.hear(phys->second, /*first_hand=*/true);
+    rec.cost = net_.link_cost(u, y);
+    rec.path = {u, y};
+    rec.last_heard = now;
+    rec.synced = true;  // link-layer exchange suffices for physical neighbors
   }
+  s.cand.insert_sorted(added);
+  added.clear();
 
   sync_missing_neighbors(u);
 }

@@ -388,12 +388,20 @@ class MdtOverlay {
   // Marks the DT-neighbor exchanges u initiates due again and schedules the
   // recompute that sends them.
   void restart_pair_syncs(NodeId u);
+  // Marks the C_u records of u's DT neighbors with id above `floor` unsynced.
+  void unsync_dt_neighbors(NodeId u, NodeId floor);
   void sync_missing_neighbors(NodeId u);
   void schedule_recompute(NodeId u);
   void recompute(NodeId u);
-  void merge_candidate_info(NodeId u, const NodeInfo& info, NodeId via);
+  // Folds a neighbor-set payload from `via` into C_u in one id-ordered walk:
+  // known records hear it as gossip, unseen ids (bar u and tombstoned ones)
+  // join as fresh candidates. `infos` must be strictly id-ascending.
+  void merge_neighbor_set(NodeId u, const std::vector<NodeInfo>& infos, NodeId via);
   void mark_joined(NodeId u);
   void reply_with_neighbor_set(NodeId u, const Envelope& request, Kind kind);
+  // u's neighbor-set payload: P_u ∪ N_u in one id-ascending list, each
+  // physical neighbor with its advertised state, each other DT neighbor with
+  // u's C_u record of it.
   std::vector<NodeInfo> neighbor_infos(NodeId u) const;
   void refresh_phys(NodeId u);
   void send_hello(NodeId u);

@@ -89,8 +89,11 @@ void LiveGdv::forward(NodeId u, Envelope&& msg) {
 
   // Lines 1-3 (Fig. 7, right column): DV estimates over P_u ∪ N_u from u's
   // own knowledge of neighbor positions, costs and virtual links. The link
-  // layer knows dead neighbors and downed links. The same pass finds the
+  // layer knows dead neighbors and downed links; a virtual link leaves u
+  // over its path's first hop, screened the same way (only when it would
+  // win, so losing views never read their path). The same pass finds the
   // physical hop MDT-greedy (line 5) would take, greedy_next's first choice.
+  const auto hop_usable = [&](NodeId hop) { return net_.alive(hop) && net_.link_up(u, hop); };
   NodeId next = -1;
   const std::vector<NodeId>* path = nullptr;
   double best_r = graph::kInf;
@@ -100,7 +103,7 @@ void LiveGdv::forward(NodeId u, Envelope&& msg) {
     if (!net_.alive(v.id) || (v.is_phys && !net_.link_up(u, v.id))) return;
     const double d = v.pos.distance(tpos);
     const double r = v.cost + d;
-    if (r < best_r) {
+    if (r < best_r && (v.is_phys || hop_usable(v.path[1]))) {
       best_r = r;
       next = v.id;
       path = &v.path;
@@ -117,8 +120,11 @@ void LiveGdv::forward(NodeId u, Envelope&& msg) {
       (void)net_.send(u, greedy_phys, std::move(msg));
       return;
     }
+    // A multi-hop choice whose first hop is unusable counts as a local
+    // minimum too: greedy_next screens only physical hops.
     const auto greedy = overlay.greedy_next(u, tpos, {}, /*joined_only=*/false);
-    if (!greedy) return;  // local minimum: DT incomplete here
+    if (!greedy || (!greedy->is_phys && !hop_usable(greedy->path[1])))
+      return;  // local minimum: DT incomplete here
     next = greedy->id;
     path = &greedy->path;
   }

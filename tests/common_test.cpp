@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -344,6 +345,79 @@ TEST(FlatMap, EraseIfPrunesInOnePass) {
   for (const auto& [k, v] : m) EXPECT_DOUBLE_EQ(v, k);
   EXPECT_EQ(erase_if(m, [](const auto&) { return false; }), 0u);
   EXPECT_EQ(m.size(), 4u);
+}
+
+// The order contract the overlay's cursor predicates rely on: one call per
+// entry, in ascending key order, so a predicate may walk a cursor over
+// another key-sorted list alongside.
+TEST(FlatMap, EraseIfVisitsEntriesOnceInAscendingOrder) {
+  FlatMap<int, double> m;
+  for (int k : {8, 3, 5, 1, 9}) m.emplace(k, k);
+  std::vector<int> seen;
+  erase_if(m, [&](const auto& e) {
+    seen.push_back(e.first);
+    return e.first == 3 || e.first == 9;
+  });
+  EXPECT_EQ(seen, (std::vector<int>{1, 3, 5, 8, 9}));
+  EXPECT_EQ(keys_of(m), (std::vector<int>{1, 5, 8}));
+
+  const std::vector<int> keep{0, 1, 4, 8};
+  auto cursor = keep.begin();
+  erase_if(m, [&](const auto& e) {
+    while (cursor != keep.end() && *cursor < e.first) ++cursor;
+    return cursor == keep.end() || *cursor != e.first;
+  });
+  EXPECT_EQ(keys_of(m), (std::vector<int>{1, 8}));
+  for (const auto& [k, v] : m) EXPECT_DOUBLE_EQ(v, k);
+}
+
+std::vector<std::pair<int, std::vector<int>>> batch_of(std::initializer_list<int> keys) {
+  std::vector<std::pair<int, std::vector<int>>> batch;
+  for (int k : keys) batch.emplace_back(k, std::vector<int>{k, -k});
+  return batch;
+}
+
+TEST(FlatMap, InsertSortedMergesABatchInOnePass) {
+  FlatMap<int, std::vector<int>> m;
+  const auto expect_keys = [&](const std::vector<int>& keys) {
+    std::vector<int> got;
+    for (const auto& [k, v] : m) {
+      got.push_back(k);
+      EXPECT_EQ(v, (std::vector<int>{k, -k})) << k;  // each value moved with its key
+    }
+    EXPECT_EQ(got, keys);
+  };
+  auto batch = batch_of({});
+  m.insert_sorted(batch);
+  expect_keys({});
+  batch = batch_of({1, 4, 6});  // into an empty map
+  m.insert_sorted(batch);
+  expect_keys({1, 4, 6});
+  batch = batch_of({-3, 0});  // everything before
+  m.insert_sorted(batch);
+  expect_keys({-3, 0, 1, 4, 6});
+  batch = batch_of({7, 9});  // everything after
+  m.insert_sorted(batch);
+  expect_keys({-3, 0, 1, 4, 6, 7, 9});
+  batch = batch_of({-5, 2, 3, 5, 8, 12});  // interleaved, at both ends
+  m.insert_sorted(batch);
+  expect_keys({-5, -3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12});
+  ASSERT_NE(m.find(5), m.end());
+  EXPECT_EQ(m.find(5)->second, (std::vector<int>{5, -5}));
+}
+
+TEST(FlatMapDeathTest, InsertSortedRejectsUnorderedOrPresentKeys) {
+  FlatMap<int, std::vector<int>> m;
+  m.emplace(2, {});
+  m.emplace(5, {});
+  auto descending = batch_of({4, 3});
+  EXPECT_DEATH(m.insert_sorted(descending), "not strictly ascending");
+  auto repeated = batch_of({3, 3});
+  EXPECT_DEATH(m.insert_sorted(repeated), "not strictly ascending");
+  auto present = batch_of({1, 5, 7});
+  EXPECT_DEATH(m.insert_sorted(present), "already present");
+  auto present_first = batch_of({2});
+  EXPECT_DEATH(m.insert_sorted(present_first), "already present");
 }
 
 TEST(FlatMap, LookupsOnAbsentKeys) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "eval/routing_eval.hpp"
@@ -140,6 +141,60 @@ TEST(LiveGdv, DownedLinkIsNeverTheNextHop) {
     ++checked;
   }
   EXPECT_EQ(checked, 10);
+}
+
+// Once a recompute's refresh drops b, whose link from s went down, from
+// P_s, b can stay in N_s with the C_s record recompute gave it: a virtual
+// link {s, b} over the downed link. The DV step must screen a virtual
+// link's first hop like a physical one, or the packet is handed to a send
+// the link layer refuses and silently lost.
+TEST(LiveGdv, VirtualLinkOverDownedFirstHopIsNeverTheNextHop) {
+  LiveFixture f(80, 3, /*use_etx=*/true, /*settle_periods=*/10);
+  auto& overlay = f.vpod->overlay();
+  // s's DV-best view toward t over what the link layer still carries
+  // (Fig. 7, lines 1-3, before any first-hop screen).
+  const auto dv_best = [&](NodeId s, NodeId t) {
+    const Vec& tpos = overlay.position(t);
+    std::optional<mdt::NeighborView> best;
+    double best_r = graph::kInf;
+    overlay.for_each_neighbor(s, [&](const mdt::NeighborView& v) {
+      if (!f.net->alive(v.id) || (v.is_phys && !f.net->link_up(s, v.id))) return;
+      const double r = v.cost + v.pos.distance(tpos);
+      if (r < best_r) {
+        best_r = r;
+        best.emplace(v);
+      }
+    });
+    return std::make_pair(best, best_r);
+  };
+  Rng rng(8);
+  int checked = 0, over_downed_link = 0;
+  for (int trial = 0; trial < 200 && checked < 10; ++trial) {
+    const int s = rng.uniform_index(f.topo.size());
+    int t = rng.uniform_index(f.topo.size() - 1);
+    if (t >= s) ++t;
+    const auto [best, best_r] = dv_best(s, t);
+    if (!best || !best->is_phys || best->id == t ||
+        !(best_r < overlay.position(s).distance(overlay.position(t))))
+      continue;
+    const NodeId b = best->id;
+    f.net->set_link_up(s, b, false);
+    overlay.force_resync(s);  // its recompute drops b from P_s
+    f.sim.run_until(f.sim.now() + 0.8);
+    ++checked;
+    const auto [after, after_r] = dv_best(s, t);
+    if (after && after->id == b && after->path == std::vector<NodeId>{s, b}) {
+      ++over_downed_link;
+      const std::uint64_t sent = f.net->messages_sent(s);
+      const auto id = f.gdv->send_packet(s, t);
+      EXPECT_EQ(f.net->messages_sent(s), sent + 1) << s << " -> " << t << " never left";
+      f.sim.run_until(f.sim.now() + 5.0);
+      EXPECT_TRUE(f.gdv->status(id).delivered) << s << " -> " << t << " via " << b << " down";
+    }
+    f.net->set_link_up(s, b, true);
+  }
+  EXPECT_EQ(checked, 10);
+  EXPECT_GT(over_downed_link, 0);
 }
 
 TEST(LiveGdv, PacketsToSelfDeliverTrivially) {

@@ -3,6 +3,10 @@
 // exact message mechanics of the join.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "mdt/overlay.hpp"
 #include "radio/topology.hpp"
 #include "sim/simulator.hpp"
@@ -469,6 +473,131 @@ TEST(ProtocolInternals, ReplyRouteSurvivesMergingUnseenNeighbors) {
   EXPECT_EQ(replies[0].origin, 3);
   EXPECT_EQ(replies[0].target, 7);
   EXPECT_EQ(replies[0].route, route);
+}
+
+// The order contract of the exchange: a neighbor-set payload is one
+// id-ascending list holding exactly P_u and the members of N_u \ P_u that
+// have a C_u record, so the receiver folds it into C_u in one walk.
+TEST(ProtocolInternals, NeighborSetPayloadsAreIdAscendingNeighborSets) {
+  GridNet grid(4);
+  grid.maintenance_rounds(6);  // settle: N_u and P_u stop changing
+  MdtOverlay& overlay = *grid.overlay;
+  int payloads = 0, multi_hop_members = 0;
+  grid.net->set_receiver([&](NodeId to, NodeId from, Envelope&& m) {
+    if (m.kind == Kind::kNbrSetRequest || m.kind == Kind::kNbrSetReply) {
+      const NodeId u = m.origin;
+      std::vector<NodeId> expected;
+      for (const auto& [id, info] : overlay.phys_info(u)) expected.push_back(id);
+      const std::vector<NodeId> cand = overlay.candidate_ids(u);
+      for (NodeId y : overlay.dt_neighbors(u)) {
+        if (overlay.phys_info(u).count(y) == 0 &&
+            std::binary_search(cand.begin(), cand.end(), y)) {
+          expected.push_back(y);
+          ++multi_hop_members;
+        }
+      }
+      std::sort(expected.begin(), expected.end());
+      std::vector<NodeId> ids;
+      for (const NodeInfo& info : m.nbr_infos) {
+        EXPECT_TRUE(ids.empty() || ids.back() < info.id) << "from " << u << ": " << info.id;
+        ids.push_back(info.id);
+        if (const auto phys = overlay.phys_info(u).find(info.id);
+            phys != overlay.phys_info(u).end()) {
+          EXPECT_EQ(info.pos, phys->second.pos) << u << " sends " << info.id;
+          EXPECT_EQ(info.pos_version, phys->second.pos_version) << u << " sends " << info.id;
+        }
+      }
+      EXPECT_EQ(ids, expected) << "payload of " << u;
+      ++payloads;
+    }
+    overlay.handle(to, from, std::move(m));
+  });
+  grid.maintenance_rounds(1);
+  EXPECT_GT(payloads, 0);
+  EXPECT_GT(multi_hop_members, 0);  // N_u \ P_u is not empty everywhere
+}
+
+// A crafted reply whose payload interleaves ids C_u lacks with ids it
+// holds, and also carries the receiver itself, a tombstoned id at its
+// evicted incarnation, and known ids at a fresher and at a staler version.
+TEST(ProtocolInternals, NeighborSetMergeFoldsAnInterleavedPayload) {
+  Star star;
+  MdtOverlay& overlay = *star.overlay;
+  const NodeId u = 1;
+  // Leaf 1 is linked to the hub; its ring neighbors 2 and 6 are multi-hop
+  // DT neighbors through it. The other leaves are in C_1 second hand, from
+  // the hub's last request.
+  ASSERT_EQ(overlay.dt_neighbors(u), (std::vector<NodeId>{0, 2, 6}));
+  ASSERT_EQ(overlay.candidate_ids(u), (std::vector<NodeId>{0, 2, 3, 4, 5, 6}));
+  // Evicting leaf 3 leaves a tombstone at the incarnation C_1 held for it,
+  // and the recompute that follows prunes leaves 4 and 5.
+  overlay.evict_for_test(u, 3);
+  star.sim.run_until(star.sim.now() + 1.0);
+  ASSERT_EQ(overlay.candidate_ids(u), (std::vector<NodeId>{0, 2, 6}));
+
+  const auto advertised = [&](NodeId id) { return overlay.phys_info(0).at(id); };
+  const auto reply_from_hub = [&](std::vector<NodeInfo> payload) {
+    Envelope reply;
+    reply.kind = Kind::kNbrSetReply;
+    reply.origin = 0;
+    reply.target = u;
+    reply.origin_info = overlay.phys_info(u).at(0);
+    reply.route = {0, u};
+    reply.nbr_infos = std::move(payload);
+    overlay.handle(u, 0, std::move(reply));
+  };
+  NodeInfo fresher = advertised(2);
+  fresher.pos[0] += 0.25;
+  fresher.pos_version += 1;
+  NodeInfo staler = advertised(6);
+  ASSERT_GE(staler.pos_version, 1u);
+  const Vec held6 = staler.pos;
+  staler.pos[0] += 0.25;
+  staler.pos_version -= 1;
+  const std::uint64_t suppressed = overlay.fd_stats().gossip_suppressed;
+  reply_from_hub({advertised(1), fresher, advertised(3), advertised(4), advertised(5), staler});
+
+  // 4 and 5 join C_1 between the records it held; 1 is u and 3 tombstoned.
+  EXPECT_EQ(overlay.candidate_ids(u), (std::vector<NodeId>{0, 2, 4, 5, 6}));
+  EXPECT_EQ(overlay.fd_stats().gossip_suppressed, suppressed + 1);
+  std::map<NodeId, Vec> stored;
+  overlay.for_each_neighbor(u, [&](const NeighborView& v) { stored.emplace(v.id, v.pos); });
+  EXPECT_EQ(stored.at(2), fresher.pos);  // strictly fresher gossip is adopted
+  EXPECT_EQ(stored.at(6), held6);        // staler gossip is not
+
+  // u's own next payload shows the versions its records hold, in id order.
+  std::vector<NodeInfo> sent;
+  star.net->set_receiver([&](NodeId to, NodeId from, Envelope&& m) {
+    if (m.kind == Kind::kNbrSetReply && m.origin == u) sent = m.nbr_infos;
+    overlay.handle(to, from, std::move(m));
+  });
+  Envelope req;
+  req.kind = Kind::kNbrSetRequest;
+  req.origin = 0;
+  req.target = u;
+  req.target_pos = overlay.position(u);
+  req.origin_info = overlay.phys_info(u).at(0);
+  req.visited = {0};
+  overlay.handle(u, 0, std::move(req));
+  star.sim.run_until(star.sim.now() + 0.05);
+  ASSERT_EQ(sent.size(), 3u);
+  EXPECT_EQ(sent[0].id, 0);
+  EXPECT_EQ(sent[1].id, 2);
+  EXPECT_EQ(sent[1].pos_version, fresher.pos_version);
+  EXPECT_EQ(sent[2].id, 6);
+  EXPECT_EQ(sent[2].pos_version, staler.pos_version + 1);
+}
+
+TEST(ProtocolInternalsDeathTest, NeighborSetMergeRejectsAnUnorderedPayload) {
+  Star star;
+  Envelope reply;
+  reply.kind = Kind::kNbrSetReply;
+  reply.origin = 0;
+  reply.target = 1;
+  reply.origin_info = star.overlay->phys_info(1).at(0);
+  reply.route = {0, 1};
+  reply.nbr_infos = {star.overlay->phys_info(0).at(3), star.overlay->phys_info(0).at(2)};
+  EXPECT_DEATH(star.overlay->handle(1, 0, std::move(reply)), "not strictly id-ascending");
 }
 
 TEST(ProtocolInternals, SetPositionSameValueKeepsVersion) {
